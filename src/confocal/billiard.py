@@ -22,10 +22,11 @@ from .errors import (
     EscapeError,
     FormulaConsistencyError,
     GrazingOrSingularError,
+    PoleError,
     SingularAxisError,
 )
 from .geometry import tangency_value
-from .lax import LaxPair2, clearing_exponents, psi_poly, real_roots
+from .lax import LaxPair2, clearing_exponents, lambda_samples, psi_poly, real_roots
 
 GRAZE_TOL = 1e-8
 
@@ -303,35 +304,22 @@ def discrete_lax_check(spec: BilliardSpec, s: ImpactState, s_next: ImpactState,
                        lambdas) -> list[dict]:
     """Conjugation-law residuals for one bounce, per sampled parameter.
 
-    Checks (a) invariance of det L and (b) the full residual
-    ||L' A - A L|| minimized over the sign reflections available on the
-    chargeless coordinates (the matrices are quadratic in the coordinates,
-    so every assignment gives the same number; the search is kept for
-    completeness).
+    Checks (a) invariance of det L and (b) the full residual ||L' A - A L||,
+    each evaluated once at s_next.  No search over the sign reflections of
+    the chargeless coordinates is needed: L is quadratic in (x_j, y_j) for
+    those j, and negating both leaves every product in L bit-for-bit equal.
     """
-    mu = spec.mu_arr
-    free = [j for j in range(spec.dim) if mu[j] == 0]
     out = []
     for lam in lambdas:
         if abs(lam) < 1e-12:
             raise GrazingOrSingularError("companion matrix is singular at lam=0")
         A = _discrete_companion(spec, s, s_next, lam)
         L0 = spectral_matrix(spec, s).L(lam)
-        best = np.inf
-        for mask in range(1 << len(free)):
-            x1 = s_next.x.copy()
-            y1 = s_next.y.copy()
-            for bit, j in enumerate(free):
-                if mask >> bit & 1:
-                    x1[j] = -x1[j]
-                    y1[j] = -y1[j]
-            L1 = LaxPair2(spec.flow_system(), x1, y1).L(lam)
-            best = min(best, float(np.max(np.abs(L1 @ A - A @ L0))))
         L1 = spectral_matrix(spec, s_next).L(lam)
         d0 = L0[0, 0] * L0[1, 1] - L0[0, 1] * L0[1, 0]
         d1 = L1[0, 0] * L1[1, 1] - L1[0, 1] * L1[1, 0]
         out.append({"lam": float(lam), "det_drift": abs(float(d1 - d0)),
-                    "conjugation_residual": best})
+                    "conjugation_residual": float(np.max(np.abs(L1 @ A - A @ L0)))})
     return out
 
 
@@ -359,7 +347,7 @@ def run_orbit(spec: BilliardSpec, s0: ImpactState, bounces: int,
     impacts = [s0]
     s = s0
     if lambdas is None:
-        lambdas = _default_lambdas(spec)
+        lambdas = lambda_samples(spec.axes, 5)
     dets0 = None
     det_drift = 0.0
     conj_max = 0.0
@@ -383,19 +371,6 @@ def run_orbit(spec: BilliardSpec, s0: ImpactState, bounces: int,
         impacts.append(s)
     return BilliardOrbit(spec, impacts, roots0 if roots0 is not None else np.zeros(0),
                          drift, det_drift, conj_max, seg_roots)
-
-
-def _default_lambdas(spec: BilliardSpec) -> np.ndarray:
-    a = np.sort(np.unique(spec.a))
-    span = float(a[-1] - a[0]) if a.size > 1 else max(1.0, a[0])
-    pts = list((a[:-1] + a[1:]) / 2.0)
-    k = 1
-    while len(pts) < 5:
-        pts.append(a[-1] + 0.7 * k * span)
-        if len(pts) < 5:
-            pts.append(a[0] - 0.7 * k * span)
-        k += 1
-    return np.array(sorted(pts[:5]))
 
 
 def expected_caustic_count(spec: BilliardSpec) -> int:
@@ -464,31 +439,33 @@ def boundary_angle(axes, x) -> float:
 
 
 def tangent_directions(axes, x, eta: float) -> list[np.ndarray]:
-    """Unit directions from x tangent to the confocal quadric at eta (n=2)."""
+    """Unit directions from x tangent to the confocal quadric at eta (n=2).
+
+    The tangency functional of the line through x with direction d is the
+    quadratic form d^T M d with M = (Q(x,x) + 1) diag(1/(eta - a)) - q q^T,
+    q = x/(eta - a) and Q the pole form at eta.  Its real null directions
+    exist when det M < 0; each root comes with both signs, so the result
+    holds four directions or none.
+    """
     a = np.asarray(axes, dtype=float)
     x = np.asarray(x, dtype=float)
-
-    def val(phi):
-        return tangency_value(a, x, np.array([np.cos(phi), np.sin(phi)]), eta, 0.0)
-
-    grid = np.linspace(0.0, np.pi, 721)
-    vals = np.array([val(p) for p in grid])
-    out = []
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            out.append(grid[i])
-        elif vals[i] * vals[i + 1] < 0.0:
-            lo, hi = grid[i], grid[i + 1]
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if val(lo) * val(mid) <= 0.0:
-                    hi = mid
-                else:
-                    lo = mid
-            out.append(0.5 * (lo + hi))
+    if x.shape != a.shape:
+        raise DimensionError("x must match the axes length")
+    if np.min(np.abs(eta - a)) <= 1e-12 * max(1.0, np.max(np.abs(a))):
+        raise PoleError(f"eta={eta} is too close to an axis")
+    q = x / (eta - a)
+    M = (float(x @ q) + 1.0) * np.diag(1.0 / (eta - a)) - np.outer(q, q)
+    m00, m01, m11 = M[0, 0], M[0, 1], M[1, 1]
+    disc = m01 * m01 - m00 * m11
+    if disc <= 0.0:
+        return []
+    # d = (c, s) solves m00 c^2 + 2 m01 c s + m11 s^2 = 0.  r is the root of
+    # r^2 + 2 m01 r + m00 m11 = 0 whose sum does not cancel; (m11, r) and
+    # (r, m00) are then the two null directions
+    r = -m01 - np.copysign(np.sqrt(disc), m01)
     dirs = []
-    for phi in out:
-        d = np.array([np.cos(phi), np.sin(phi)])
+    for d in (np.array([m11, r]), np.array([r, m00])):
+        d = d / np.linalg.norm(d)
         dirs.append(d)
         dirs.append(-d)
     return dirs
@@ -553,10 +530,11 @@ def find_planar_periodic_orbit(spec: BilliardSpec, period: int,
             f"no closing caustic bracketed in ({lo}, {hi}): {f_lo}, {f_hi}")
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        if advance(lo) * advance(mid) <= 0:
+        f_mid = advance(mid)
+        if f_lo * f_mid <= 0:
             hi = mid
         else:
-            lo = mid
+            lo, f_lo = mid, f_mid
         if hi - lo < 1e-14:
             break
     eta = 0.5 * (lo + hi)

@@ -14,7 +14,7 @@ import numpy as np
 import yaml
 
 from .billiard import BilliardSpec, ImpactState
-from .dynamics import PhaseState, SystemSpec
+from .dynamics import KINDS, PhaseState, SystemSpec
 from .errors import ConfigError
 from .sampling import random_impact_state, random_state
 
@@ -36,9 +36,7 @@ SCHEMA = {
             "required": ["kind", "axes"],
             "additionalProperties": False,
             "properties": {
-                "kind": {"enum": ["jacobi", "double_jacobi", "complex_jacobi",
-                                  "jacobi_rosochatius", "separable_hierarchy",
-                                  "free_oscillator", "free_jr"]},
+                "kind": {"enum": list(KINDS)},
                 "axes": _POSITIVE_VECTOR,
                 "sigma": _NUMBER,
                 "sigmas": _VECTOR,

@@ -408,12 +408,32 @@ def clearing_exponents(sys: SystemSpec) -> np.ndarray:
     return out
 
 
+def lambda_samples(axes, k: int) -> np.ndarray:
+    """k spectral-parameter samples, ascending, away from the poles.
+
+    The midpoints between the sorted distinct axes come first; further
+    points alternate above and below the extremes at multiples of 0.7 times
+    the axis span.
+    """
+    a = np.unique(np.asarray(axes, dtype=float))
+    span = float(a[-1] - a[0]) if a.size > 1 else max(1.0, float(a[0]))
+    pts = list((a[:-1] + a[1:]) / 2.0)
+    j = 1
+    while len(pts) < k:
+        pts.append(float(a[-1] + 0.7 * j * span))
+        if len(pts) < k:
+            pts.append(float(a[0] - 0.7 * j * span))
+        j += 1
+    return np.array(sorted(pts[:k]))
+
+
 def psi_poly(sys: SystemSpec, s: PhaseState) -> np.ndarray:
     """Coefficients (highest first) of det L with its poles cleared.
 
     The clearing factor is prod_s (lam - alpha_s)^{delta_s} with delta_s from
-    `clearing_exponents`; coefficients are recovered from samples placed at
-    the midpoints between the sorted distinct axes and beyond the extremes.
+    `clearing_exponents`; coefficients are recovered by interpolation at the
+    deg + 1 points of `lambda_samples`: the midpoints between the distinct
+    axes, then points beyond the extremes.
     """
     spec = EllipsoidSpec(sys.axes)
     alpha = spec.group_values
@@ -421,21 +441,11 @@ def psi_poly(sys: SystemSpec, s: PhaseState) -> np.ndarray:
     deg = int(delta.sum()) + _poly_part_degree(sys)
     if deg < 0:
         return np.zeros(1)
-    npts = deg + 1
-    srt = np.sort(alpha)
-    pts = list((srt[:-1] + srt[1:]) / 2.0)
-    span = float(srt[-1] - srt[0]) if srt.size > 1 else max(1.0, srt[0])
-    k = 1
-    while len(pts) < npts:
-        pts.append(srt[-1] + 0.6180339887 * k * span)
-        if len(pts) < npts:
-            pts.append(srt[0] - 0.6180339887 * k * span)
-        k += 1
-    pts = np.array(pts[:npts])
+    pts = lambda_samples(alpha, deg + 1)
     pair = build_lax(sys, s, "small")
     vals = np.array([np.real(pair.det_L(t)) * np.prod((t - alpha) ** delta)
                      for t in pts])
-    return np.linalg.solve(np.vander(pts, npts), vals)
+    return np.linalg.solve(np.vander(pts, deg + 1), vals)
 
 
 def real_roots(coeffs, im_tol: float = 1e-7) -> np.ndarray:

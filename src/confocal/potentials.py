@@ -18,18 +18,6 @@ import numpy as np
 from .errors import DimensionError, PoleError
 
 
-@dataclass(frozen=True)
-class PotentialSpec:
-    """Weights of the polynomial hierarchy and the inverse-square strengths."""
-
-    sigmas: tuple[float, ...] = ()
-    mu: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        if any(m < 0 for m in self.mu):
-            raise ValueError("inverse-square strengths must be nonnegative")
-
-
 @dataclass
 class HierarchyTables:
     """Values V^(1..m), per-axis shares F_i^(k), and their x-gradients.

@@ -5,6 +5,8 @@ and returns CheckRecord rows (name, value, threshold).  The command-line
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
 from . import billiard as bl
@@ -23,19 +25,6 @@ AXES3 = (1.0, 2.0, 3.0)
 AXES_SYM22 = (1.3, 1.3, 2.9, 2.9)
 MU3 = (0.3, 0.0, 0.25)
 MU4 = (0.3, 0.2, 0.25, 0.15)
-
-
-def _lambda_samples(axes, k=5):
-    a = np.sort(np.unique(np.asarray(axes, dtype=float)))
-    span = float(a[-1] - a[0]) if a.size > 1 else max(1.0, float(a[0]))
-    pts = list((a[:-1] + a[1:]) / 2.0)
-    j = 1
-    while len(pts) < k:
-        pts.append(float(a[-1] + 0.7 * j * span))
-        if len(pts) < k:
-            pts.append(float(a[0] - 0.7 * j * span))
-        j += 1
-    return np.array(sorted(pts[:k]))
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +116,7 @@ def suite_conservation(seed=0, T=10.0, h=1e-3, tol=1e-7,
     for name, sys in systems:
         s0 = random_state(sys, rng)
         traj = integrate(sys, s0, T, h)
-        lams = _lambda_samples(sys.axes)
+        lams = lx.lambda_samples(sys.axes, 5)
         fam0 = lx.integral_family(sys, s0)
         H0 = energy(sys, s0)
         det0 = [lx.det_L(sys, s0, lam) for lam in lams]
@@ -434,14 +423,25 @@ SUITES = {
 
 def run_suites(names=None, seed=0, overrides=None) -> list[CheckRecord]:
     """Run the selected suites (all by default) with optional tolerance
-    overrides keyed by suite name."""
+    overrides keyed by suite name.
+
+    Every name, selected or overridden, is checked before any suite runs; an
+    override may only name a suite that takes a `tol` parameter.
+    """
     names = list(SUITES) if names is None else list(names)
     overrides = overrides or {}
-    out = []
     for name in names:
         if name not in SUITES:
             raise ConfigError(f"unknown suite {name!r}; "
                               f"known: {', '.join(sorted(SUITES))}")
+    tunable = [n for n, fn in SUITES.items()
+               if "tol" in inspect.signature(fn).parameters]
+    for name in overrides:
+        if name not in tunable:
+            raise ConfigError(f"no tolerance override for suite {name!r}; "
+                              f"suites that take one: {', '.join(tunable)}")
+    out = []
+    for name in names:
         kwargs = {"seed": seed}
         if name in overrides:
             kwargs["tol"] = overrides[name]

@@ -5,6 +5,7 @@ from confocal.billiard import (
     BilliardSpec,
     ImpactState,
     boundary_angle,
+    boundary_point,
     discrete_lax_check,
     expected_caustic_count,
     fedorov_step,
@@ -17,12 +18,15 @@ from confocal.billiard import (
     poncelet_detect,
     run_orbit,
     spectral_matrix,
+    tangent_directions,
     tangent_state,
 )
 from confocal.dynamics import SystemSpec, integrate, PhaseState
 from confocal.errors import (
+    DimensionError,
     EscapeError,
     GrazingOrSingularError,
+    PoleError,
     SingularAxisError,
 )
 from confocal.geometry import tangency_value
@@ -278,6 +282,19 @@ class TestDiscreteConjugation:
             L = spectral_matrix(spec, state).L(0.37)
             assert abs(L[0, 0] + L[1, 1]) < 1e-13
 
+    def test_chargeless_sign_flip_leaves_the_residual_unchanged(self):
+        spec = BilliardSpec((2.0, 1.0, 0.6), sigma=0.3, mu=(0.0, 0.25, 0.0))
+        x, y = random_impact_state(spec.axes, 0.3, spec.mu, 24, speed=1.4)
+        s = ImpactState(x, y)
+        s1 = jr_step(spec, s)
+        flip = np.array([-1.0, 1.0, -1.0])
+        s1f = ImpactState(flip * s1.x, flip * s1.y, s1.k)
+        lams = [0.37, -1.2, 3.4]
+        for rec, recf in zip(discrete_lax_check(spec, s, s1, lams),
+                             discrete_lax_check(spec, s, s1f, lams)):
+            assert recf["conjugation_residual"] == rec["conjugation_residual"]
+            assert recf["det_drift"] == rec["det_drift"]
+
     def test_companion_matrix_singular_at_zero(self):
         spec = BilliardSpec((2.0, 1.0))
         x, y = random_impact_state(spec.axes, 0.0, spec.mu, 17)
@@ -285,6 +302,43 @@ class TestDiscreteConjugation:
         s1 = jr_step(spec, s)
         with pytest.raises(GrazingOrSingularError):
             discrete_lax_check(spec, s, s1, [0.0])
+
+
+def tangent_count_by_scan(axes, x, eta, n=2001):
+    """Formula-free oracle: sign changes of the tangency functional over the
+    direction angle on [0, pi], two directions (d and -d) per change."""
+    phis = np.linspace(0.0, np.pi, n)
+    vals = np.array([tangency_value(axes, x, np.array([np.cos(p), np.sin(p)]), eta)
+                     for p in phis])
+    return 2 * int(np.count_nonzero(vals[:-1] * vals[1:] < 0.0))
+
+
+class TestTangentDirections:
+    @pytest.mark.parametrize("axes", [(2.0, 1.0), (1.0, 3.0), (0.5, 0.7)])
+    def test_directions_are_tangent_and_counted(self, axes):
+        rng = np.random.default_rng(25)
+        a = np.asarray(axes)
+        counts = set()
+        for i in range(20):
+            # boundary points see the interior caustic twice; interior points
+            # may lie inside it and see none
+            x = boundary_point(axes, rng.uniform(0.0, 2.0 * np.pi))
+            if i % 2:
+                x = x * rng.uniform(0.0, 1.0)
+            eta = rng.uniform(0.05, 0.95) * a.min()
+            dirs = tangent_directions(axes, x, eta)
+            for d in dirs:
+                assert abs(np.linalg.norm(d) - 1.0) < 1e-15
+                assert abs(tangency_value(a, x, d, eta)) < 1e-12
+            assert len(dirs) == tangent_count_by_scan(a, x, eta)
+            counts.add(len(dirs))
+        assert counts == {0, 4}
+
+    def test_guards(self):
+        with pytest.raises(PoleError):
+            tangent_directions((2.0, 1.0), np.array([1.0, 0.5]), 1.0)
+        with pytest.raises(DimensionError):
+            tangent_directions((2.0, 1.0), np.array([1.0, 0.5, 0.1]), 0.5)
 
 
 def caustic_by_scan(axes, x, y, lo, hi, n=40001):

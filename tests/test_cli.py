@@ -7,6 +7,7 @@ import pytest
 from confocal.cli import main
 from confocal.config import load_config
 from confocal.errors import ConfigError
+from confocal.suites import SUITES, run_suites
 from confocal.svgplot import render
 
 
@@ -173,6 +174,24 @@ class TestVerifyCommand:
                      "--tol-overrides", "peta-relation=1e-30",
                      "--out", str(tmp_path)])
         assert code == 1
+
+    @pytest.mark.parametrize("name", sorted(SUITES))
+    def test_override_checked_before_any_suite_runs(self, name):
+        no_tol = {"rank-dimension", "caustics", "hierarchy-identities"}
+        if name in no_tol:
+            with pytest.raises(ConfigError):
+                run_suites(names=[], overrides={name: 1.0})
+        else:
+            assert run_suites(names=[], overrides={name: 1.0}) == []
+
+    @pytest.mark.parametrize("override", ["caustics=1e-3", "nosuch=1e-3"])
+    def test_bad_override_is_a_config_error(self, tmp_path, capsys, override):
+        code = main(["verify", "--suite", "peta-relation",
+                     "--tol-overrides", override, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error" in err and "Traceback" not in err
+        assert not (tmp_path / "verify_report.json").exists()
 
 
 class TestPlotCommand:

@@ -13,6 +13,7 @@ from confocal.lax import (
     det_L,
     gradient_rank_report,
     integral_family,
+    lambda_samples,
     lax_residual,
     per_axis_integrals,
     psi_poly,
@@ -113,6 +114,25 @@ class TestLaxResidual:
         sys = SystemSpec("free_jr", (2.0, 1.0), sigma=0.5, mu=(0.0, 0.3))
         s = PhaseState(np.array([0.4, 0.8]), np.array([0.3, -0.2]))
         assert lax_residual(sys, s, "small", 0.37, 1e-5) < 1e-8
+
+
+class TestLambdaSamples:
+    @pytest.mark.parametrize("axes, expect", [
+        ((1.0, 2.0, 3.0), [-0.3999999999999999, 1.5, 2.5, 4.4, 5.8]),
+        ((1.3, 1.3, 2.9, 2.9),
+         [-0.9399999999999997, 0.18000000000000016, 2.1, 4.02, 5.14]),
+        ((2.0, 1.0, 0.6), [-0.3799999999999999, 0.8, 1.5, 2.98, 3.96]),
+    ])
+    def test_pinned_points(self, axes, expect):
+        # the det-L samples of the conservation suite and of run_orbit
+        assert lambda_samples(axes, 5).tolist() == expect
+
+    def test_ascending_and_off_the_axes(self):
+        for axes in ((1.0,), (1.0, 2.0, 3.0), (1.3, 1.3, 2.9)):
+            for k in range(1, 9):
+                pts = lambda_samples(axes, k)
+                assert pts.size == k and np.all(np.diff(pts) > 0)
+                assert np.min(np.abs(pts[:, None] - np.asarray(axes))) > 0.1
 
 
 class TestSpectralData:

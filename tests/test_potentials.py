@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from confocal.dynamics import SystemSpec
 from confocal.errors import PoleError
 from confocal.potentials import (
-    PotentialSpec,
     bd_residual,
     delta_omega,
     hierarchy_eval,
@@ -110,7 +110,7 @@ class TestRosochatius:
 
     def test_spec_rejects_negative_strength(self):
         with pytest.raises(ValueError):
-            PotentialSpec(mu=(0.1, -0.2))
+            SystemSpec("jacobi_rosochatius", AXES, mu=(0.1, -0.2, 0.0))
 
 
 class TestBertrandDarboux:
