@@ -22,10 +22,9 @@ from .errors import (
     EscapeError,
     FormulaConsistencyError,
     GrazingOrSingularError,
-    PoleError,
     SingularAxisError,
 )
-from .geometry import tangency_value
+from .geometry import _pole_guard, tangency_value
 from .lax import LaxPair2, clearing_exponents, lambda_samples, psi_poly, real_roots
 
 GRAZE_TOL = 1e-8
@@ -358,15 +357,15 @@ def run_orbit(spec: BilliardSpec, s0: ImpactState, bounces: int,
         s_next = jr_step(spec, s)
         if with_lax:
             for rec in discrete_lax_check(spec, s, s_next, lambdas):
-                conj_max = max(conj_max, rec["conjugation_residual"])
-                det_drift = max(det_drift, rec["det_drift"])
+                conj_max = float(np.maximum(conj_max, rec["conjugation_residual"]))
+                det_drift = float(np.maximum(det_drift, rec["det_drift"]))
         st = PhaseState(s.x, s.y)
         rts = real_roots(psi_poly(sysf, st))
         seg_roots.append(rts)
         if roots0 is None:
             roots0 = rts
         elif rts.size == roots0.size:
-            drift = max(drift, float(np.max(np.abs(rts - roots0))))
+            drift = float(np.maximum(drift, np.max(np.abs(rts - roots0))))
         s = s_next
         impacts.append(s)
     return BilliardOrbit(spec, impacts, roots0 if roots0 is not None else np.zeros(0),
@@ -398,8 +397,8 @@ def orbit_caustics(spec: BilliardSpec, orbit: BilliardOrbit,
             for eta in etas:
                 if float(eta) in degenerate:
                     continue
-                tangency_max = max(tangency_max, abs(
-                    tangency_value(spec.a, s.x, s.y, float(eta), 0.0)))
+                tangency_max = float(np.maximum(tangency_max, abs(
+                    tangency_value(spec.a, s.x, s.y, float(eta), 0.0))))
     per_seg_ok = all(r.size == etas.size for r in orbit.segment_roots)
     return {
         "etas": etas,
@@ -451,8 +450,7 @@ def tangent_directions(axes, x, eta: float) -> list[np.ndarray]:
     x = np.asarray(x, dtype=float)
     if x.shape != a.shape:
         raise DimensionError("x must match the axes length")
-    if np.min(np.abs(eta - a)) <= 1e-12 * max(1.0, np.max(np.abs(a))):
-        raise PoleError(f"eta={eta} is too close to an axis")
+    _pole_guard(a, eta)
     q = x / (eta - a)
     M = (float(x @ q) + 1.0) * np.diag(1.0 / (eta - a)) - np.outer(q, q)
     m00, m01, m11 = M[0, 0], M[0, 1], M[1, 1]

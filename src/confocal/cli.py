@@ -137,15 +137,15 @@ def cmd_simulate(cfg: dict, seed: int, out_dir: Path, as_json: bool) -> int:
                 fam = lx.integral_family(sys_, s)
                 fv = fam.f if fam.f is not None else fam.ftilde
                 fvals = [float(v) for v in fv]
-                dF = max(dF, max(abs(v - v0) / max(abs(v0), 1e-3)
-                                 for v, v0 in zip(fv, f0)))
+                dF = float(np.max([dF] + [abs(v - v0) / max(abs(v0), 1e-3)
+                                          for v, v0 in zip(fv, f0)]))
             if header is None:
                 header = (["t"] + cols + [f"F{i+1}" for i in range(res.size)]
                           + ["H"] + [f"f{i}" for i in range(len(fvals))])
             rows.append([s.t] + vals + [float(r) for r in res] + [hval] + fvals)
-            dH = max(dH, abs(hval - H0) / max(abs(H0), 1e-3))
+            dH = float(np.maximum(dH, abs(hval - H0) / max(abs(H0), 1e-3)))
             if res.size:
-                dC = max(dC, float(np.max(np.abs(res))))
+                dC = float(np.maximum(dC, np.max(np.abs(res))))
         _write_table(out_dir / f"trajectory_{run_idx}", header, rows, as_json)
         d0 = np.max(np.abs(traj[-1].x - traj[0].x)) + np.max(np.abs(traj[-1].y - traj[0].y))
         summary_runs.append({
@@ -155,7 +155,7 @@ def cmd_simulate(cfg: dict, seed: int, out_dir: Path, as_json: bool) -> int:
             "constraint_max": fmt(dC),
             "closure_distance": fmt(float(np.real(d0))),
         })
-        worst = max(worst, dH, dF)
+        worst = float(np.max([worst, dH, dF]))
         log.info("run %d: energy drift %.3e, integral drift %.3e", run_idx, dH, dF)
     dump_json({"kind": sys_.kind, "T": T, "h": h, "drift_tol": drift_tol,
                "runs": summary_runs, "pass": bool(worst <= drift_tol)},
@@ -188,8 +188,8 @@ def cmd_billiard(cfg: dict, seed: int, out_dir: Path, as_json: bool) -> int:
         for _ in range(min(opts["bounces"], 100)):
             s_next = bl.jr_step(spec, s)
             s_orc = bl.oracle_step(spec, s)
-            worst = max(worst, float(np.max(np.abs(s_next.x - s_orc.x))),
-                        float(np.max(np.abs(s_next.y - s_orc.y))))
+            worst = float(np.max([worst, np.max(np.abs(s_next.x - s_orc.x)),
+                                  np.max(np.abs(s_next.y - s_orc.y))]))
             s = s_next
         checks.append(CheckRecord("map-vs-oracle", worst, opts["oracle_tol"]))
     summary = {

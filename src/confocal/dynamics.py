@@ -10,6 +10,15 @@ separable_hierarchy  jacobi_rosochatius with polynomial potential weights
 free_oscillator      z'' = -sigma z in free (complex) space, no constraint
 free_jr              x'' = -sigma x + mu^2/x^3 in free real space
 
+jacobi, complex_jacobi, jacobi_rosochatius and separable_hierarchy share one
+formula each for the constraints, the energy, the right-hand side and the
+projection, written with the pairing Re <u, conj(v)> (the plain dot product
+on real arrays): jacobi is the chargeless case, complex_jacobi the same flow
+on complex coordinates, and the hierarchy swaps the Hooke force for the
+gradient of its potential.  double_jacobi has its own formulas, and the two
+free kinds share one.  Only jacobi_rosochatius, separable_hierarchy and
+free_jr take charges.
+
 The integrator is a fixed-step classical Runge-Kutta scheme with a post-step
 projection back onto the constraint set (position rescaled along A^-1 x by
 two Newton iterations, momentum shifted along A^-1 x exactly).
@@ -36,6 +45,7 @@ CONSTRAINED_KINDS = ("jacobi", "double_jacobi", "complex_jacobi",
                      "jacobi_rosochatius", "separable_hierarchy")
 FREE_KINDS = ("free_oscillator", "free_jr")
 KINDS = CONSTRAINED_KINDS + FREE_KINDS
+_CHARGED_KINDS = ("jacobi_rosochatius", "separable_hierarchy", "free_jr")
 
 DEFAULT_CTOL = 1e-9
 
@@ -84,6 +94,8 @@ class SystemSpec:
             raise DimensionError("mu must match the axes length")
         if any(m < 0 for m in mu):
             raise ValueError("mu entries must be nonnegative")
+        if any(mu) and kind not in _CHARGED_KINDS:
+            raise ValueError(f"kind {kind!r} takes no charges")
         if kind == "separable_hierarchy" and len(sigmas) < 1:
             raise ValueError("separable_hierarchy needs at least one weight")
         object.__setattr__(self, "kind", kind)
@@ -112,6 +124,11 @@ class SystemSpec:
 # constraints and energy
 # ---------------------------------------------------------------------------
 
+def _pair(u: np.ndarray, v: np.ndarray):
+    """Re <u, conj(v)>: the dot product on real arrays, whose conj() is a no-op."""
+    return (u @ v.conj()).real
+
+
 def constraint_residuals(sys: SystemSpec, s: PhaseState) -> np.ndarray:
     """Residuals of the defining constraints; empty for free-space kinds."""
     a = sys.a
@@ -119,29 +136,20 @@ def constraint_residuals(sys: SystemSpec, s: PhaseState) -> np.ndarray:
         g1 = (s.x / a) @ s.xi - 1.0
         g2 = (s.y / a) @ s.xi + (s.x / a) @ s.eta
         return np.array([g1, g2])
-    if sys.kind == "complex_jacobi":
-        f1 = ((s.x / a) @ np.conj(s.x)).real - 1.0
-        f2 = 2.0 * ((s.x / a) @ np.conj(s.y)).real
-        return np.array([f1, f2])
     if sys.constrained:
-        f1 = (s.x / a) @ s.x - 1.0
-        f2 = (s.x / a) @ s.y
-        return np.array([f1, f2])
+        return np.array([_pair(s.x / a, s.x) - 1.0, _pair(s.x / a, s.y)])
     return np.zeros(0)
 
 
 def energy(sys: SystemSpec, s: PhaseState) -> float:
     """Hamiltonian of the flow at a state."""
-    a = sys.a
-    mu = sys.mu_arr
     if sys.kind == "double_jacobi":
         return float(s.y @ s.eta + sys.sigma * (s.x @ s.xi))
-    if sys.kind in ("complex_jacobi", "free_oscillator"):
-        return float(0.5 * (s.y @ np.conj(s.y)).real + 0.5 * sys.sigma * (s.x @ np.conj(s.x)).real)
-    kin = 0.5 * float(s.y @ s.y)
+    mu = sys.mu_arr
+    kin = 0.5 * float(_pair(s.y, s.y))
     if sys.kind == "separable_hierarchy":
-        return kin + hierarchy_potential(a, s.x, sys.sigmas, mu)
-    pot = 0.5 * sys.sigma * float(s.x @ s.x)
+        return kin + hierarchy_potential(sys.a, s.x, sys.sigmas, mu)
+    pot = 0.5 * sys.sigma * float(_pair(s.x, s.x))
     nz = mu != 0
     if nz.any():
         pot += 0.5 * float((mu[nz] ** 2 / s.x[nz] ** 2).sum())
@@ -152,9 +160,11 @@ def _check_state(sys: SystemSpec, s: PhaseState, ctol: float) -> None:
     res = constraint_residuals(sys, s)
     if res.size and np.max(np.abs(res)) > ctol:
         raise ConstraintError(f"constraint residuals {res} exceed ctol={ctol}")
-    mu = sys.mu_arr
-    nz = mu != 0
-    if nz.any() and np.any(np.abs(np.real(s.x[nz])) < 1e-9):
+    _check_charged(sys, s.x)
+
+
+def _check_charged(sys: SystemSpec, x: np.ndarray) -> None:
+    if any(sys.mu) and np.any(np.abs(x[sys.mu_arr != 0]) < 1e-9):
         raise SingularAxisError("coordinate with nonzero charge too close to zero")
 
 
@@ -163,6 +173,15 @@ def _mu_over_x(sys: SystemSpec, x: np.ndarray) -> np.ndarray:
     out = np.zeros_like(mu)
     nz = mu != 0
     out[nz] = mu[nz] / x[nz]
+    return out
+
+
+def _charge_force(sys: SystemSpec, x: np.ndarray) -> np.ndarray:
+    """The inverse-square force mu^2 / x^3, zero on chargeless coordinates."""
+    mu = sys.mu_arr
+    nz = mu != 0
+    out = np.zeros_like(x)
+    out[nz] = mu[nz] ** 2 / x[nz] ** 3
     return out
 
 
@@ -176,53 +195,33 @@ def rhs(sys: SystemSpec, s: PhaseState, ctol: float = DEFAULT_CTOL,
     if check:
         _check_state(sys, s, ctol)
     a = sys.a
-    k = sys.kind
-    if k == "jacobi":
-        den = (s.x / a**2) @ s.x
-        if abs(den) < 1e-14:
-            raise MultiplierSingularError("multiplier denominator vanished")
-        m = ((s.y / a) @ s.y - sys.sigma) / den
-        return PhaseState(s.y, -m * s.x / a - sys.sigma * s.x, 1.0)
-    if k == "jacobi_rosochatius":
-        den = (s.x / a**2) @ s.x
-        if abs(den) < 1e-14:
-            raise MultiplierSingularError("multiplier denominator vanished")
-        w = _mu_over_x(sys, s.x)
-        m = ((s.y / a) @ s.y + (w / a) @ w - sys.sigma) / den
-        nz = sys.mu_arr != 0
-        extra = np.zeros_like(s.x)
-        extra[nz] = sys.mu_arr[nz] ** 2 / s.x[nz] ** 3
-        return PhaseState(s.y, -m * s.x / a - sys.sigma * s.x + extra, 1.0)
-    if k == "separable_hierarchy":
-        den = (s.x / a**2) @ s.x
-        if abs(den) < 1e-14:
-            raise MultiplierSingularError("multiplier denominator vanished")
-        grad = hierarchy_gradient(a, s.x, sys.sigmas, sys.mu_arr)
-        m = ((s.y / a) @ s.y - (grad / a) @ s.x) / den
-        return PhaseState(s.y, -m * s.x / a - grad, 1.0)
-    if k == "complex_jacobi":
-        den = ((s.x / a**2) @ np.conj(s.x)).real
-        if abs(den) < 1e-14:
-            raise MultiplierSingularError("multiplier denominator vanished")
-        m = (((s.y / a) @ np.conj(s.y)).real - sys.sigma) / den
-        return PhaseState(s.y, -m * s.x / a - sys.sigma * s.x, 1.0)
-    if k == "double_jacobi":
+    if sys.kind == "double_jacobi":
         den = (s.x / a**2) @ s.xi
         if abs(den) < 1e-14:
             raise MultiplierSingularError("multiplier denominator vanished")
         m = ((s.y / a) @ s.eta - sys.sigma) / den
         return PhaseState(s.y, -m * s.x / a - sys.sigma * s.x, 1.0,
                           s.eta, -m * s.xi / a - sys.sigma * s.xi)
-    if k == "free_oscillator":
-        return PhaseState(s.y, -sys.sigma * s.x, 1.0)
-    if k == "free_jr":
-        nz = sys.mu_arr != 0
-        if nz.any() and np.any(np.abs(s.x[nz]) < 1e-9):
-            raise SingularAxisError("coordinate with nonzero charge too close to zero")
-        extra = np.zeros_like(s.x)
-        extra[nz] = sys.mu_arr[nz] ** 2 / s.x[nz] ** 3
-        return PhaseState(s.y, -sys.sigma * s.x + extra, 1.0)
-    raise ValueError(f"unknown kind {k!r}")
+    if not sys.constrained:
+        _check_charged(sys, s.x)
+        return PhaseState(s.y, -sys.sigma * s.x + _charge_force(sys, s.x), 1.0)
+    den = _pair(s.x / a**2, s.x)
+    if abs(den) < 1e-14:
+        raise MultiplierSingularError("multiplier denominator vanished")
+    kin = _pair(s.y / a, s.y)
+    if sys.kind == "separable_hierarchy":
+        grad = hierarchy_gradient(a, s.x, sys.sigmas, sys.mu_arr)
+        m = (kin - (grad / a) @ s.x) / den
+        return PhaseState(s.y, -m * s.x / a - grad, 1.0)
+    charged = any(sys.mu)
+    if charged:
+        w = _mu_over_x(sys, s.x)
+        kin = kin + (w / a) @ w
+    m = (kin - sys.sigma) / den
+    force = -m * s.x / a - sys.sigma * s.x
+    if charged:
+        force = force + _charge_force(sys, s.x)
+    return PhaseState(s.y, force, 1.0)
 
 
 def reparametrized_rhs(sys: SystemSpec, s: PhaseState, ctol: float = DEFAULT_CTOL) -> PhaseState:
@@ -281,21 +280,13 @@ def project(sys: SystemSpec, s: PhaseState, ctol: float = DEFAULT_CTOL,
         c = -g2 / (2.0 * den)
         s.y = s.y + c * s.x / a
         s.eta = s.eta + c * s.xi / a
-    elif sys.kind == "complex_jacobi":
-        for _ in range(newton_iters):
-            f1 = ((s.x / a) @ np.conj(s.x)).real - 1.0
-            d = 2.0 * ((s.x / a**2) @ np.conj(s.x)).real
-            s.x = s.x + (-f1 / d) * s.x / a
-        den = ((s.x / a**2) @ np.conj(s.x)).real
-        f2 = 2.0 * ((s.x / a) @ np.conj(s.y)).real
-        s.y = s.y + (-f2 / (2.0 * den)) * s.x / a
     else:
         for _ in range(newton_iters):
-            f1 = (s.x / a) @ s.x - 1.0
-            d = 2.0 * (s.x / a**2) @ s.x
+            f1 = _pair(s.x / a, s.x) - 1.0
+            d = 2.0 * _pair(s.x / a**2, s.x)
             s.x = s.x + (-f1 / d) * s.x / a
-        den = (s.x / a**2) @ s.x
-        s.y = s.y + (-((s.x / a) @ s.y) / den) * s.x / a
+        den = _pair(s.x / a**2, s.x)
+        s.y = s.y + (-_pair(s.x / a, s.y) / den) * s.x / a
     res = constraint_residuals(sys, s)
     if np.max(np.abs(res)) > ctol:
         raise ProjectionError(f"projection left residuals {res} above ctol={ctol}")
@@ -393,25 +384,20 @@ def dirac_tensor(axes, s: PhaseState) -> np.ndarray:
 
 
 def fd_gradient(func, s: PhaseState, rel: float = 1e-6) -> np.ndarray:
-    """Central-difference phase-space gradient of func(state) -> float.
+    """Central-difference phase-space gradient of func(state).
 
-    Step per coordinate is rel * (1 + |coordinate|).
+    Step per coordinate is rel * (1 + |coordinate|).  A scalar func gives
+    shape (2(n+1),); a vector-valued one gives one row per coordinate.
     """
-    n1 = s.x.size
-    g = np.zeros(2 * n1)
-    for which, arr in (("x", s.x), ("y", s.y)):
-        for i in range(n1):
-            h = rel * (1.0 + abs(float(arr[i])))
+    rows = []
+    for which in ("x", "y"):
+        for i in range(s.x.size):
+            h = rel * (1.0 + abs(float(getattr(s, which)[i])))
             sp, sm = s.copy(), s.copy()
-            if which == "x":
-                sp.x[i] += h
-                sm.x[i] -= h
-                g[i] = (func(sp) - func(sm)) / (2 * h)
-            else:
-                sp.y[i] += h
-                sm.y[i] -= h
-                g[n1 + i] = (func(sp) - func(sm)) / (2 * h)
-    return g
+            getattr(sp, which)[i] += h
+            getattr(sm, which)[i] -= h
+            rows.append(np.subtract(func(sp), func(sm)) / (2 * h))
+    return np.array(rows)
 
 
 def dirac_bracket(axes, f, g, s: PhaseState, ctol: float = DEFAULT_CTOL,

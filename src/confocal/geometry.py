@@ -217,13 +217,20 @@ def _check_interlacing(axes: np.ndarray, lam: np.ndarray) -> None:
         raise InvalidCoordsError("parameters do not interlace the sorted axes")
 
 
+def _pole_guard(axes, lam) -> None:
+    """Reject a parameter within 1e-10 max(1, max|a|) of an axis."""
+    a = np.asarray(axes, dtype=float)
+    if np.min(np.abs(lam - a)) <= 1e-10 * max(1.0, float(np.max(np.abs(a)))):
+        raise PoleError(f"parameter {lam} is too close to an axis")
+
+
 def pole_form(axes, lam, u, v) -> complex | float:
     """Bilinear form sum_i u_i v_i / (lam - a_i) with simple poles at the axes."""
     a = np.asarray(axes, dtype=float)
     return (np.asarray(u) * np.asarray(v) / (lam - a)).sum()
 
 
-def tangency_value(axes, x, y, eta: float, sigma: float = 0.0, tol: float = 1e-12):
+def tangency_value(axes, x, y, eta: float, sigma: float = 0.0):
     """Tangency functional of the line (sigma=0) or oscillator arc through (x, y).
 
     Returns (Q(x,x)+1)(Q(y,y)+sigma) - Q(x,y)^2 with Q the pole form at eta;
@@ -235,8 +242,7 @@ def tangency_value(axes, x, y, eta: float, sigma: float = 0.0, tol: float = 1e-1
     y = np.asarray(y, dtype=float)
     if x.shape != a.shape or y.shape != a.shape:
         raise DimensionError("x, y must match the axes length")
-    if np.min(np.abs(eta - a)) <= tol * max(1.0, np.max(np.abs(a))):
-        raise PoleError(f"eta={eta} is too close to an axis")
+    _pole_guard(a, eta)
     qxx = pole_form(a, eta, x, x)
     qyy = pole_form(a, eta, y, y)
     qxy = pole_form(a, eta, x, y)

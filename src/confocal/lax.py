@@ -22,6 +22,7 @@ from .dynamics import (
     DEFAULT_CTOL,
     PhaseState,
     SystemSpec,
+    _mu_over_x,
     dirac_bracket,
     dirac_tensor,
     fd_gradient,
@@ -32,18 +33,12 @@ from .errors import (
     PoleError,
     SymmetricSpecError,
 )
-from .geometry import EllipsoidSpec, pole_form
+from .geometry import EllipsoidSpec, _pole_guard, pole_form
 from .potentials import delta_value, hierarchy_eval, omega_coefficients
 
 _SMALL_KINDS = ("jacobi", "jacobi_rosochatius", "separable_hierarchy",
                 "complex_jacobi", "double_jacobi", "free_jr")
 _BIG_KINDS = ("jacobi", "double_jacobi")
-
-
-def _pole_guard(axes, lam, tol=1e-10):
-    a = np.asarray(axes, dtype=float)
-    if np.min(np.abs(lam - a)) <= tol * max(1.0, float(np.max(np.abs(a)))):
-        raise PoleError(f"lam={lam} too close to an axis")
 
 
 @dataclass
@@ -63,20 +58,16 @@ class LaxPair2:
         self._omega = None
         if self.sys.kind == "separable_hierarchy":
             m = len(self.sys.sigmas)
+            # level k + 1 of the depth-m tables is the depth-(k + 1) table
             self._tables = hierarchy_eval(self.sys.a, self.x, m)
-            self._omega = [
-                omega_coefficients(self.sys.a, self.x, k + 1,
-                                   hierarchy_eval(self.sys.a, self.x, k + 1))
-                for k in range(m)
-            ]
+            self._omega = [omega_coefficients(self.sys.a, self.x, k + 1, self._tables)
+                           for k in range(m)]
 
     def _conj_pair(self):
         """Second position/momentum pair entering the bilinear forms."""
         if self.sys.kind == "double_jacobi":
             return self.xi, self.eta
-        if self.sys.kind == "complex_jacobi":
-            return np.conj(self.x), np.conj(self.y)
-        return self.x, self.y
+        return self.x.conj(), self.y.conj()
 
     def L(self, lam: float) -> np.ndarray:
         a = self.sys.a
@@ -94,11 +85,8 @@ class LaxPair2:
         """Upper-right addition beyond the momentum form: charges plus forcing."""
         sys = self.sys
         val = 0.0
-        mu = sys.mu_arr
-        nz = mu != 0
-        if nz.any():
-            w = np.zeros_like(mu)
-            w[nz] = mu[nz] / np.real(self.x[nz])
+        if any(sys.mu):
+            w = _mu_over_x(sys, self.x)
             val += pole_form(sys.a, lam, w, w)
         if sys.kind == "separable_hierarchy":
             val += sum(sig * delta_value(self._tables, k + 1, lam)
@@ -116,28 +104,20 @@ class LaxPair2:
         if sys.kind == "free_jr":
             return np.array([[0.0, -sys.sigma], [1.0, 0.0]])
         xi, eta = self._conj_pair()
-        if sys.kind == "complex_jacobi":
-            den = ((self.x / a**2) @ np.conj(self.x)).real
-        else:
-            den = (self.x / a**2) @ xi
-        mu = sys.mu_arr
-        nz = mu != 0
+        den = ((self.x / a**2) @ xi).real
+        kin = ((self.y / a) @ eta).real
         charge = 0.0
-        if nz.any():
-            w = np.zeros_like(mu)
-            w[nz] = mu[nz] / np.real(self.x[nz])
+        if any(sys.mu):
+            w = _mu_over_x(sys, self.x)
             charge = float((w / a) @ w)
         if sys.kind == "separable_hierarchy":
             grads = self._tables.gradV
             gradVplus = 0.5 * sum(sig * grads[k] for k, sig in enumerate(sys.sigmas))
             pump = float((gradVplus / a) @ self.x)
-            kin = float((self.y / a) @ self.y)
             omega_sum = sum(sig * float(np.polyval(c, lam))
                             for sig, c in zip(sys.sigmas, self._omega))
             top = (pump - kin - charge) / lam / den - omega_sum
         else:
-            kin = np.real((self.y / a) @ np.conj(self.y)) if sys.kind == "complex_jacobi" \
-                else (self.y / a) @ eta
             top = ((sys.sigma - kin - charge) / lam - sys.sigma * den) / den
         return np.array([[0.0, top], [1.0, 0.0]])
 
@@ -221,24 +201,14 @@ def lax_residual(sys: SystemSpec, s: PhaseState, which: str, lam: float,
 
 def _pair_table(sys: SystemSpec, s: PhaseState) -> np.ndarray:
     """Symmetric table P[i, j] of the pairwise invariants entering the f_i."""
-    n1 = sys.a.size
-    mu = sys.mu_arr
-    if sys.kind == "double_jacobi":
-        x, y, xi, eta = s.x, s.y, s.xi, s.eta
-        phi = np.outer(y, x) - np.outer(x, y)
-        psi = np.outer(eta, xi) - np.outer(xi, eta)
-        return phi * psi
-    if sys.kind == "complex_jacobi":
-        z, p = s.x, s.y
-        phi = np.outer(p, z) - np.outer(z, p)
-        return np.abs(phi) ** 2
     x, y = s.x, s.y
     phi = np.outer(y, x) - np.outer(x, y)
-    P = phi * phi
-    nz = mu != 0
-    if nz.any():
-        w = np.zeros(n1)
-        w[nz] = mu[nz] / x[nz]
+    if sys.kind == "double_jacobi":
+        return phi * (np.outer(s.eta, s.xi) - np.outer(s.xi, s.eta))
+    # |phi|^2 is phi * phi bit for bit on real arrays
+    P = np.abs(phi) ** 2
+    if any(sys.mu):
+        w = _mu_over_x(sys, x)
         # mu_i^2 x_j^2 / x_i^2 + mu_j^2 x_i^2 / x_j^2, symmetric
         P = P + np.outer(w**2, x**2) + np.outer(x**2, w**2)
         np.fill_diagonal(P, 0.0)
@@ -247,19 +217,17 @@ def _pair_table(sys: SystemSpec, s: PhaseState) -> np.ndarray:
 
 def _local_parts(sys: SystemSpec, s: PhaseState) -> np.ndarray:
     """Per-axis pieces l_i with f_i = l_i + sum_j P_ij / (a_i - a_j)."""
-    mu = sys.mu_arr
-    nz = mu != 0
     if sys.kind == "double_jacobi":
         return s.y * s.eta + sys.sigma * s.x * s.xi
-    if sys.kind == "complex_jacobi":
-        return np.abs(s.y) ** 2 + sys.sigma * np.abs(s.x) ** 2
-    out = s.y**2
+    out = np.abs(s.y) ** 2
     if sys.kind == "separable_hierarchy":
         t = hierarchy_eval(sys.a, s.x, len(sys.sigmas))
         for sig, F in zip(sys.sigmas, t.F):
             out = out + sig * F
     else:
-        out = out + sys.sigma * s.x**2
+        out = out + sys.sigma * np.abs(s.x) ** 2
+    mu = sys.mu_arr
+    nz = mu != 0
     if nz.any():
         add = np.zeros_like(out)
         add[nz] = mu[nz] ** 2 / s.x[nz] ** 2
@@ -607,70 +575,19 @@ def commuting_pairs(spec: EllipsoidSpec) -> list[tuple]:
     return pairs
 
 
-def _observable_gradient(sys: SystemSpec, s: PhaseState, tag: tuple) -> np.ndarray:
-    kind = tag[0]
-    spec = EllipsoidSpec(sys.axes)
-    if kind == "ftilde":
-        return gradient_ftilde(sys, s, tag[1])
-    if kind == "P":
-        return gradient_pair_sum(sys, s, tag[1])
-    if kind == "Ppair":
-        return _grad_pair(sys, s, tag[2], tag[3])
-    if kind == "Psum":
-        g = np.zeros(2 * sys.a.size)
-        for (i, j) in tag[2]:
-            g += _grad_pair(sys, s, i, j)
-        return g
-    if kind == "Lchain":
-        si, k = tag[1], tag[2]
-        return gradient_pair_sum(sys, s, si, spec.partition[si][:k + 1])
-    raise ValueError(f"unknown observable tag {tag!r}")
-
-
-def _pair_value(sys: SystemSpec, s: PhaseState, i: int, j: int) -> float:
-    mu = sys.mu_arr
-    x, y = s.x, s.y
-    val = (y[i] * x[j] - x[i] * y[j]) ** 2
-    if mu[i] != 0:
-        val += mu[i] ** 2 * x[j] ** 2 / x[i] ** 2
-    if mu[j] != 0:
-        val += mu[j] ** 2 * x[i] ** 2 / x[j] ** 2
-    return float(val)
-
-
-def _ftilde_value(sys: SystemSpec, s: PhaseState, si: int) -> float:
-    spec = EllipsoidSpec(sys.axes)
-    grp = spec.partition[si]
-    a = sys.a
-    mu = sys.mu_arr
-    val = 0.0
-    for i in grp:
-        val += s.y[i] ** 2 + sys.sigma * s.x[i] ** 2
-        if mu[i] != 0:
-            val += mu[i] ** 2 / s.x[i] ** 2
-        for j in range(a.size):
-            if j not in grp:
-                val += _pair_value(sys, s, i, j) / (a[i] - a[j])
-    return float(val)
-
-
-def _observable_eval(sys: SystemSpec, s: PhaseState, tag: tuple) -> float:
-    spec = EllipsoidSpec(sys.axes)
+def _family_entry(fam: IntegralFamily, tag: tuple) -> float:
+    """Value of the observable `tag` (see `commuting_pairs`) in a family."""
     kind = tag[0]
     if kind == "ftilde":
-        return _ftilde_value(sys, s, tag[1])
+        return fam.ftilde[tag[1]]
     if kind == "P":
-        grp = spec.partition[tag[1]]
-        return sum(_pair_value(sys, s, i, j)
-                   for ii, i in enumerate(grp) for j in grp[ii + 1:])
+        return fam.P[tag[1]]
     if kind == "Ppair":
-        return _pair_value(sys, s, tag[2], tag[3])
+        return fam.P_pairs[tag[1:]]
     if kind == "Psum":
-        return sum(_pair_value(sys, s, i, j) for (i, j) in tag[2])
+        return sum(fam.P_pairs[(tag[1],) + ij] for ij in tag[2])
     if kind == "Lchain":
-        sub = spec.partition[tag[1]][:tag[2] + 1]
-        return sum(_pair_value(sys, s, i, j)
-                   for ii, i in enumerate(sub) for j in sub[ii + 1:])
+        return fam.L_chain[tag[1:]]
     raise ValueError(f"unknown observable tag {tag!r}")
 
 
@@ -690,23 +607,23 @@ def _tag_name(tag: tuple) -> str:
 
 
 def commutation_suite(sys: SystemSpec, s: PhaseState, pairs=None,
-                      tol: float = 1e-6, gradients: str = "fd") -> list[CheckRecord]:
+                      tol: float = 1e-6) -> list[CheckRecord]:
     """Constrained brackets of the vanishing pairs at one state.
 
-    `gradients` selects finite-difference ('fd', the bracket default) or the
-    analytic formulas ('analytic').  Returns one record per pair with the
+    The gradients are one vector-valued central difference (`fd_gradient`)
+    of the `integral_family` entries.  Returns one record per pair with the
     absolute bracket value.
     """
     spec = EllipsoidSpec(sys.axes)
     if pairs is None:
         pairs = commuting_pairs(spec)
     tags = sorted({t for pr in pairs for t in pr}, key=repr)
-    grads = {}
-    for t in tags:
-        if gradients == "analytic":
-            grads[t] = _observable_gradient(sys, s, t)
-        else:
-            grads[t] = fd_gradient(lambda st, t=t: _observable_eval(sys, st, t), s)
+
+    def values(st):
+        fam = integral_family(sys, st)
+        return [_family_entry(fam, t) for t in tags]
+
+    grads = dict(zip(tags, fd_gradient(values, s).T))
     out = []
     for t1, t2 in pairs:
         val = dirac_bracket(sys.a, None, None, s, grad_f=grads[t1], grad_g=grads[t2])

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, PoleError
+from .errors import DimensionError
+from .geometry import _pole_guard
 
 
 @dataclass
@@ -188,7 +189,7 @@ def delta_value(tables: HierarchyTables, k: int, lam: float) -> float:
     return float(d)
 
 
-def delta_omega(axes, x, lam: float, k: int, tol: float = 1e-12) -> tuple[float, float]:
+def delta_omega(axes, x, lam: float, k: int) -> tuple[float, float]:
     """Values of the hierarchy polynomials Delta_k and Omega_k at lam.
 
     Delta_k = lam^{k-1} - lam^{k-2} V^(1) - ... - V^(k-1); Omega_k is the
@@ -197,8 +198,7 @@ def delta_omega(axes, x, lam: float, k: int, tol: float = 1e-12) -> tuple[float,
     """
     a = np.asarray(axes, dtype=float)
     x = np.asarray(x, dtype=float)
-    if np.min(np.abs(lam - a)) <= tol * max(1.0, np.max(np.abs(a))):
-        raise PoleError(f"lam={lam} is too close to an axis")
+    _pole_guard(a, lam)
     if k < 1:
         raise ValueError("k must be at least 1")
     tables = hierarchy_eval(a, x, k)

@@ -72,11 +72,11 @@ def suite_lax_residual(seed=0, n_states=20, h=1e-5, tol=1e-7,
             s = draw()
             s_decay = s
             for lam in lams:
-                worst = max(worst, lx.lax_residual(sys, s, which, lam, h))
+                worst = float(np.maximum(worst, lx.lax_residual(sys, s, which, lam, h)))
         out.append(CheckRecord(f"lax-residual/{name}", worst, tol))
         r1 = lx.lax_residual(sys, s_decay, which, lams[0], 1e-3)
         r2 = lx.lax_residual(sys, s_decay, which, lams[0], 5e-4)
-        ratio = r1 / r2 if r2 > 0 else 4.0
+        ratio = r1 / r2 if r2 != 0 else 4.0
         out.append(CheckRecord(f"lax-decay/{name}", max(ratio / 4.0, 4.0 / ratio),
                                decay_tol))
     return out
@@ -126,20 +126,22 @@ def suite_conservation(seed=0, T=10.0, h=1e-3, tol=1e-7,
         dfam = 0.0
         ddet = 0.0
         for s in traj[::stride]:
-            dH = max(dH, _relative_drift(energy(sys, s), H0))
+            dH = float(np.maximum(dH, _relative_drift(energy(sys, s), H0)))
             fam = lx.integral_family(sys, s)
             if fam0.f is not None:
                 for v, v0 in zip(fam.f, fam0.f):
-                    dfam = max(dfam, _relative_drift(v, v0, fam_scale))
+                    dfam = float(np.maximum(dfam, _relative_drift(v, v0, fam_scale)))
             for v, v0 in zip(fam.ftilde, fam0.ftilde):
-                dfam = max(dfam, _relative_drift(v, v0, fam_scale))
+                dfam = float(np.maximum(dfam, _relative_drift(v, v0, fam_scale)))
             for key, v0 in fam0.P_pairs.items():
-                dfam = max(dfam, _relative_drift(fam.P_pairs[key], v0, fam_scale))
+                dfam = float(np.maximum(dfam, _relative_drift(fam.P_pairs[key], v0,
+                                                              fam_scale)))
             for key, v0 in fam0.L_chain.items():
-                dfam = max(dfam, _relative_drift(fam.L_chain[key], v0, fam_scale))
+                dfam = float(np.maximum(dfam, _relative_drift(fam.L_chain[key], v0,
+                                                              fam_scale)))
             for lam, v0 in zip(lams, det0):
-                ddet = max(ddet, _relative_drift(lx.det_L(sys, s, lam), v0,
-                                                 det_scale))
+                ddet = float(np.maximum(ddet, _relative_drift(lx.det_L(sys, s, lam), v0,
+                                                              det_scale)))
         out.append(CheckRecord(f"conservation/{name}/H", dH, tol))
         out.append(CheckRecord(f"conservation/{name}/family", dfam, tol))
         out.append(CheckRecord(f"conservation/{name}/detL", ddet, tol))
@@ -163,7 +165,7 @@ def suite_bracket_commutation(seed=0, n_states=100, tol=1e-6) -> list[CheckRecor
     for _ in range(n_states):
         s = random_state(sys, rng)
         for rec in lx.commutation_suite(sys, s, tol=tol):
-            worst[rec.name] = max(worst.get(rec.name, 0.0), rec.value)
+            worst[rec.name] = float(np.maximum(worst.get(rec.name, 0.0), rec.value))
     return [CheckRecord(f"bracket/{k}", v, tol) for k, v in sorted(worst.items())]
 
 
@@ -176,7 +178,8 @@ def suite_peta_relation(seed=0, n_states=1000, tol=1e-9) -> list[CheckRecord]:
                 SystemSpec("jacobi_rosochatius", AXES3, sigma=0.4, mu=MU3)):
         for _ in range(n_states // 2):
             s = random_state(sys, rng)
-            worst = max(worst, abs(lx.integral_family(sys, s).relation_residual))
+            worst = float(np.maximum(worst,
+                                     abs(lx.integral_family(sys, s).relation_residual)))
     return [CheckRecord("peta-relation/residual", worst, tol)]
 
 
@@ -231,8 +234,8 @@ def suite_billiard_oracle(seed=0, bounces=100, tol=1e-6) -> list[CheckRecord]:
                         x, y = random_impact_state(base, sigma, mu, rng, speed=1.3)
                         s = bl.ImpactState(x, y)
                         continue
-                    worst = max(worst, float(np.max(np.abs(s1.x - s1o.x))),
-                                float(np.max(np.abs(s1.y - s1o.y))))
+                    worst = float(np.max([worst, np.max(np.abs(s1.x - s1o.x)),
+                                          np.max(np.abs(s1.y - s1o.y))]))
                     s = s1
                 out.append(CheckRecord(
                     f"billiard-oracle/n{n}/{mu_name}/sigma{sigma:+g}", worst, tol))
@@ -318,15 +321,17 @@ def suite_bd_residual(seed=0, n_points=100, tol=1e-6) -> list[CheckRecord]:
             Vk = lambda p, k=k: pt.hierarchy_eval(a, p, k).V[k - 1]
             for i in range(3):
                 for j in range(i + 1, 3):
-                    worst_poly = max(worst_poly, abs(pt.bd_residual(a, Vk, x, i, j)))
+                    worst_poly = float(np.maximum(worst_poly,
+                                                  abs(pt.bd_residual(a, Vk, x, i, j))))
         for sdx in range(3):
             for deg in (-1, -2):
                 Vr = lambda p, s=sdx, d=deg: pt.rosochatius_eval(a, p, s, d)[0]
                 for i in range(3):
                     for j in range(i + 1, 3):
-                        worst_ros = max(worst_ros, abs(pt.bd_residual(a, Vr, x, i, j)))
+                        worst_ros = float(np.maximum(worst_ros,
+                                                     abs(pt.bd_residual(a, Vr, x, i, j))))
         bad = lambda p: p[0] ** 3 * p[1]
-        floor_nonsep = min(floor_nonsep, abs(pt.bd_residual(a, bad, x, 0, 1)))
+        floor_nonsep = float(np.minimum(floor_nonsep, abs(pt.bd_residual(a, bad, x, 0, 1))))
     return [
         CheckRecord("bd-residual/polynomial-basis", worst_poly, tol),
         CheckRecord("bd-residual/inverse-basis", worst_ros, tol),
@@ -348,32 +353,33 @@ def suite_hierarchy_identities(seed=0, n_points=50, closed_tol=1e-12,
         xx = float(x @ x)
         axx = float((a * x) @ x)
         a2xx = float((a**2 * x) @ x)
-        worst_closed = max(
+        worst_closed = float(np.max([
             worst_closed,
             abs(t.V[0] - xx),
             abs(t.V[1] - (axx - xx * xx)),
             abs(t.V[2] - (a2xx - t.V[0] * axx - t.V[1] * xx)),
-        )
+        ]))
         for k in range(1, 7):
-            worst_closure = max(worst_closure, abs(t.V[k - 1] - t.F[k - 1].sum()))
+            worst_closure = float(np.maximum(worst_closure,
+                                             abs(t.V[k - 1] - t.F[k - 1].sum())))
         lam = float(rng.uniform(3.5, 6.0))
         d1, o1 = pt.delta_omega(a, x, lam, 1)
         d2, o2 = pt.delta_omega(a, x, lam, 2)
         d3, o3 = pt.delta_omega(a, x, lam, 3)
-        worst_closed = max(
+        worst_closed = float(np.max([
             worst_closed,
             abs(d1 - 1.0), abs(o1 - 1.0),
             abs(d2 - (lam - xx)), abs(o2 - (lam - 2 * xx)),
             abs(d3 - (lam**2 - lam * xx - axx + xx**2)),
             abs(o3 - (lam**2 - 2 * lam * xx - 2 * axx + 3 * xx**2)),
-        )
+        ]))
         for k in range(1, 6):
             _, om = pt.delta_omega(a, x, lam, k)
             q = float((x * x / (lam - a)).sum())
             tt = pt.hierarchy_eval(a, x, k)
             resid = abs(2 * om * (1 + q) - 2 * pt.delta_value(tt, k, lam)
                         - float((x / (lam - a)) @ tt.gradV[k - 1]))
-            worst_omega = max(worst_omega, resid)
+            worst_omega = float(np.maximum(worst_omega, resid))
     return [
         CheckRecord("hierarchy/closed-forms", worst_closed, closed_tol),
         CheckRecord("hierarchy/recurrence-closure", worst_closure, closed_tol),
@@ -400,8 +406,8 @@ def suite_reduction_compatibility(seed=0, T=5.0, h=1e-3, tol=1e-7,
         trr = integrate(sys_r, PhaseState(x0, y0), T, h)
         for k in range(0, len(trc), stride):
             xr, yr, _, _ = torus_reduce(trc[k].x, trc[k].y)
-            worst = max(worst, float(np.max(np.abs(xr - trr[k].x))),
-                        float(np.max(np.abs(yr - trr[k].y))))
+            worst = float(np.max([worst, np.max(np.abs(xr - trr[k].x)),
+                                  np.max(np.abs(yr - trr[k].y))]))
     return [CheckRecord("reduction-compatibility/pointwise", worst, tol)]
 
 

@@ -71,6 +71,15 @@ system:
         err = capsys.readouterr().err
         assert "system/axes" in err
 
+    def test_charges_on_a_chargeless_kind_are_a_config_error(self, tmp_path, capsys):
+        cfg = write(tmp_path / "cfg.yaml", """\
+version: 1
+system: {kind: jacobi, axes: [1.0, 2.0, 3.0], sigma: 0.4, mu: [0.2, 0.0, 0.3]}
+""")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "takes no charges" in err and "Traceback" not in err
+
     def test_drift_gate_failure_sets_exit_code(self, tmp_path):
         cfg = write(tmp_path / "cfg.yaml", f"""\
 version: 1
@@ -168,6 +177,26 @@ class TestVerifyCommand:
 
     def test_unknown_suite_is_a_config_error(self, tmp_path):
         assert main(["verify", "--suite", "nope", "--out", str(tmp_path)]) in (1, 2)
+
+    def test_nan_residual_never_passes(self, tmp_path, monkeypatch):
+        import confocal.lax
+        from confocal.suites import suite_lax_residual
+
+        def nan_once():
+            real, calls = confocal.lax.lax_residual, []
+
+            def patched(*args, **kwargs):
+                calls.append(1)
+                return float("nan") if len(calls) == 1 else real(*args, **kwargs)
+
+            monkeypatch.setattr(confocal.lax, "lax_residual", patched)
+
+        nan_once()
+        rec = suite_lax_residual(n_states=2)[0]
+        assert math.isnan(rec.value) and not rec.passed
+        monkeypatch.undo()
+        nan_once()
+        assert main(["verify", "--suite", "lax-residual", "--out", str(tmp_path)]) == 1
 
     def test_tolerance_override_can_force_failure(self, tmp_path):
         code = main(["verify", "--suite", "peta-relation",

@@ -28,6 +28,17 @@ from confocal.sampling import random_state
 AXES = (1.0, 2.0, 3.0)
 
 
+def _assert_same_flow(sys1, sys2, s):
+    """rhs, energy, constraints and projection agree bit for bit at s."""
+    v1, v2 = rhs(sys1, s), rhs(sys2, s)
+    assert np.array_equal(v1.x, v2.x) and np.array_equal(v1.y, v2.y)
+    assert energy(sys1, s) == energy(sys2, s)
+    assert np.array_equal(constraint_residuals(sys1, s), constraint_residuals(sys2, s))
+    off = PhaseState(1.001 * s.x, s.y + 0.01)
+    p1, p2 = project(sys1, off), project(sys2, off)
+    assert np.array_equal(p1.x, p2.x) and np.array_equal(p1.y, p2.y)
+
+
 class TestRightHandSides:
     def test_great_circle_geodesic(self):
         sys = SystemSpec("jacobi", (1.0, 1.0, 1.0), sigma=0.0)
@@ -44,11 +55,23 @@ class TestRightHandSides:
             np.testing.assert_allclose(v.y, np.zeros(3), atol=1e-15)
 
     def test_chargeless_reduction_equals_plain_flow(self):
+        # jacobi is the mu = 0 case of one formula: equal bit for bit
         sysj = SystemSpec("jacobi", AXES, sigma=0.4)
         sysr = SystemSpec("jacobi_rosochatius", AXES, sigma=0.4, mu=(0.0, 0.0, 0.0))
         s = random_state(sysj, 0)
-        vj, vr = rhs(sysj, s), rhs(sysr, s)
-        np.testing.assert_allclose(vr.y, vj.y, rtol=1e-14)
+        _assert_same_flow(sysj, sysr, s)
+
+    def test_complex_flow_on_a_real_state_equals_plain_flow(self):
+        sysj = SystemSpec("jacobi", AXES, sigma=0.4)
+        sysc = SystemSpec("complex_jacobi", AXES, sigma=0.4)
+        _assert_same_flow(sysj, sysc, random_state(sysj, 5))
+
+    @pytest.mark.parametrize("kind", ["jacobi", "double_jacobi", "complex_jacobi",
+                                      "free_oscillator"])
+    def test_charges_rejected_by_kinds_that_ignore_them(self, kind):
+        with pytest.raises(ValueError, match="takes no charges"):
+            SystemSpec(kind, AXES, sigma=0.4, mu=(0.2, 0.0, 0.3))
+        SystemSpec(kind, AXES, sigma=0.4, mu=(0.0, 0.0, 0.0))
 
     def test_paired_flow_duplicates_on_the_diagonal(self):
         sysj = SystemSpec("jacobi", AXES, sigma=0.4)

@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
 
-from confocal.dynamics import PhaseState, SystemSpec, energy, integrate
+from confocal.dynamics import PhaseState, SystemSpec, energy, fd_gradient, integrate
 from confocal.errors import InvariantVarietyError, PoleError, SymmetricSpecError
-from confocal.geometry import pole_form
+from confocal.billiard import tangent_directions
+from confocal.geometry import pole_form, tangency_value
 from confocal.lax import (
+    _grad_pair,
     build_lax,
     clearing_exponents,
     commutation_suite,
     commuting_pairs,
     count_sign_changes,
     det_L,
+    gradient_ftilde,
+    gradient_pair_sum,
     gradient_rank_report,
     integral_family,
     lambda_samples,
@@ -20,6 +24,7 @@ from confocal.lax import (
     real_roots,
     spectral_expansion,
 )
+from confocal.potentials import delta_omega
 from confocal.sampling import (
     random_double_invariant_state,
     random_state,
@@ -45,10 +50,26 @@ class TestBuildLax:
         sysr = SystemSpec("jacobi_rosochatius", AXES, sigma=0.4, mu=(0.0, 0.0, 0.0))
         s = random_state(sysj, 1)
         for lam in (0.37, 4.6):
-            np.testing.assert_allclose(build_lax(sysr, s, "small").L(lam),
-                                       build_lax(sysj, s, "small").L(lam))
-            np.testing.assert_allclose(build_lax(sysr, s, "small").A(lam),
-                                       build_lax(sysj, s, "small").A(lam))
+            assert np.array_equal(build_lax(sysr, s, "small").L(lam),
+                                  build_lax(sysj, s, "small").L(lam))
+            assert np.array_equal(build_lax(sysr, s, "small").A(lam),
+                                  build_lax(sysj, s, "small").A(lam))
+
+    def test_complex_pair_on_a_real_state_is_the_plain_pair(self):
+        # one formula: on real arrays conj() is the identity, so the complex
+        # kind reproduces the plain pair bit for bit; complex storage of the
+        # same state differs only by the rounding of complex division
+        sysj = SystemSpec("jacobi", AXES, sigma=0.4)
+        sysc = SystemSpec("complex_jacobi", AXES, sigma=0.4)
+        s = random_state(sysj, 1)
+        sc = PhaseState(s.x.astype(complex), s.y.astype(complex))
+        for lam in (0.37, 4.6):
+            for m in ("L", "A"):
+                plain = getattr(build_lax(sysj, s, "small"), m)(lam)
+                assert np.array_equal(getattr(build_lax(sysc, s, "small"), m)(lam), plain)
+                np.testing.assert_allclose(getattr(build_lax(sysc, sc, "small"), m)(lam),
+                                           plain, rtol=0, atol=1e-15)
+        assert np.array_equal(integral_family(sysc, s).f, integral_family(sysj, s).f)
 
     def test_trace_laws(self):
         sysr = SystemSpec("jacobi_rosochatius", AXES, sigma=0.4, mu=(0.2, 0.0, 0.3))
@@ -98,6 +119,26 @@ class TestBuildLax:
             pair.L(2.0)
         with pytest.raises(PoleError):
             pair.A(0.0)
+        # every entry point shares one guard: 1e-11 lies inside its
+        # 1e-10 max(1, max|a|) band
+        lam = AXES[0] + 1e-11
+        for call in (lambda: pair.L(lam),
+                     lambda: tangency_value(AXES, s.x, s.y, lam),
+                     lambda: tangent_directions(AXES, s.x, lam),
+                     lambda: delta_omega(AXES, s.x, lam, 2)):
+            with pytest.raises(PoleError):
+                call()
+
+    def test_hierarchy_tables_built_once_per_state(self, monkeypatch):
+        import confocal.lax
+        calls = []
+        real = confocal.lax.hierarchy_eval
+        monkeypatch.setattr(confocal.lax, "hierarchy_eval",
+                            lambda *args: calls.append(args) or real(*args))
+        sys = SystemSpec("separable_hierarchy", AXES, sigmas=(0.5, -0.3, 0.2),
+                         mu=(0.1, 0.0, 0.2))
+        build_lax(sys, random_state(sys, 10), "small")
+        assert len(calls) == 1
 
 
 class TestLaxResidual:
@@ -291,14 +332,28 @@ class TestCommutation:
                 assert rec.value < 1e-6, rec.name
 
     def test_analytic_gradients_agree_with_difference_gradients(self):
+        # the rank report uses the analytic gradients; they must be the
+        # derivatives of the integral_family entries the brackets difference
         sys = SystemSpec("jacobi_rosochatius", (1.3, 1.3, 2.9, 2.9), sigma=0.3,
                          mu=(0.3, 0.2, 0.25, 0.15))
         s = random_state(sys, 22)
-        fd = {r.name: r.value for r in commutation_suite(sys, s, gradients="fd")}
-        an = {r.name: r.value for r in commutation_suite(sys, s, gradients="analytic")}
-        assert fd.keys() == an.keys()
-        for name in fd:
-            assert abs(fd[name] - an[name]) < 1e-7
+        part = sys.ellipsoid().partition
+        fam = integral_family(sys, s)
+
+        def entries(st):
+            f = integral_family(sys, st)
+            return (list(f.ftilde) + list(f.P) + list(f.P_pairs.values())
+                    + list(f.L_chain.values()))
+
+        analytic = ([gradient_ftilde(sys, s, si) for si in range(len(part))]
+                    + [gradient_pair_sum(sys, s, si) for si in range(len(part))]
+                    + [_grad_pair(sys, s, i, j) for (_, i, j) in fam.P_pairs]
+                    + [gradient_pair_sum(sys, s, si, part[si][:k + 1])
+                       for (si, k) in fam.L_chain])
+        fd = fd_gradient(entries, s)
+        assert fd.shape == (8, len(analytic))
+        for g_fd, g_an in zip(fd.T, analytic):
+            np.testing.assert_allclose(g_an, g_fd, rtol=1e-6, atol=1e-7)
 
 
 class TestRankReport:
