@@ -3,7 +3,7 @@ confocal quadric families."""
 
 from .billiard import BilliardSpec, ImpactState
 from .dynamics import PhaseState, SystemSpec
-from .geometry import EllipsoidSpec, EllipticCoords, QuadricParam
+from .geometry import EllipsoidSpec, EllipticCoords
 
 __version__ = "0.1.0"
 
@@ -13,7 +13,6 @@ __all__ = [
     "EllipticCoords",
     "ImpactState",
     "PhaseState",
-    "QuadricParam",
     "SystemSpec",
     "__version__",
 ]

@@ -37,9 +37,8 @@ class BilliardSpec:
     axes: tuple[float, ...]
     sigma: float = 0.0
     mu: tuple[float, ...] = ()
-    eps_admissible: float = 1e-3
 
-    def __init__(self, axes, sigma=0.0, mu=(), eps_admissible=1e-3):
+    def __init__(self, axes, sigma=0.0, mu=()):
         axes = tuple(float(v) for v in np.asarray(axes, dtype=float))
         if any(v <= 0 for v in axes):
             raise ValueError("axes must be positive")
@@ -51,7 +50,6 @@ class BilliardSpec:
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "sigma", float(sigma))
         object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "eps_admissible", float(eps_admissible))
 
     @property
     def a(self) -> np.ndarray:
@@ -100,15 +98,6 @@ def energy(spec: BilliardSpec, x, y) -> float:
     if nz.any():
         h += 0.5 * float((spec.mu_arr[nz] ** 2 / x[nz] ** 2).sum())
     return h
-
-
-def admissible(spec: BilliardSpec, s: ImpactState, eps: float | None = None) -> bool:
-    """Energy admissibility for sigma > 0 (always true otherwise)."""
-    if spec.sigma <= 0:
-        return True
-    eps = spec.eps_admissible if eps is None else eps
-    h = energy(spec, s.x, s.y)
-    return h + 0.5 * spec.sigma * float(s.x @ s.x) > eps
 
 
 def _map_coefficients(spec: BilliardSpec, s: ImpactState, tol: float):

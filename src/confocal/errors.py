@@ -49,10 +49,6 @@ class InvariantVarietyError(ConfocalError):
     """Large Lax pair requested off the invariant variety where it is defined."""
 
 
-class SymmetricSpecError(ConfocalError):
-    """Per-axis integrals requested for an ellipsoid with repeated axes."""
-
-
 class GrazingOrSingularError(ConfocalError):
     """Billiard step at a grazing impact or with a vanishing map denominator."""
 

@@ -88,28 +88,6 @@ class EllipticCoords:
         object.__setattr__(self, "signs", signs)
 
 
-@dataclass(frozen=True)
-class QuadricParam:
-    """Parameter of one member of the confocal family; must avoid the axes."""
-
-    eta: float
-
-    def validate(self, spec: EllipsoidSpec, tol: float = 0.0) -> "QuadricParam":
-        if np.min(np.abs(self.eta - spec.a)) <= tol:
-            raise PoleError(f"eta={self.eta} coincides with an axis")
-        return self
-
-
-def on_ellipsoid(spec: EllipsoidSpec, x, tol: float = 1e-12) -> bool:
-    """Whether <A^-1 x, x> is within tol of 1."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (spec.dim + 1,):
-        raise DimensionError(f"point has shape {x.shape}, expected ({spec.dim + 1},)")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return bool(abs((x / spec.a) @ x - 1.0) <= tol)
-
-
 def _confocal_lhs(axes: np.ndarray, xsq: np.ndarray, lam: float) -> float:
     # landing exactly on a pole yields +-inf, which the bracketing logic
     # treats as an ordinary sign

@@ -28,11 +28,7 @@ from .dynamics import (
     fd_gradient,
     rk4_step,
 )
-from .errors import (
-    InvariantVarietyError,
-    PoleError,
-    SymmetricSpecError,
-)
+from .errors import InvariantVarietyError, PoleError
 from .geometry import EllipsoidSpec, _pole_guard, pole_form
 from .potentials import delta_value, hierarchy_eval, omega_coefficients
 
@@ -60,8 +56,7 @@ class LaxPair2:
             m = len(self.sys.sigmas)
             # level k + 1 of the depth-m tables is the depth-(k + 1) table
             self._tables = hierarchy_eval(self.sys.a, self.x, m)
-            self._omega = [omega_coefficients(self.sys.a, self.x, k + 1, self._tables)
-                           for k in range(m)]
+            self._omega = [omega_coefficients(self._tables, k + 1) for k in range(m)]
 
     def _conj_pair(self):
         """Second position/momentum pair entering the bilinear forms."""
@@ -177,12 +172,12 @@ def build_lax(sys: SystemSpec, s: PhaseState, which: str = "small",
     return LaxPairBig(sys, x, y, xi, eta)
 
 
-def lax_residual(sys: SystemSpec, s: PhaseState, which: str, lam: float,
-                 h: float = 1e-5, ctol: float = DEFAULT_CTOL) -> float:
-    """Max-entry norm of dL/dt minus the commutator, by central differences.
+def lax_defect(sys: SystemSpec, s: PhaseState, which: str, lam: float,
+               h: float = 1e-5, ctol: float = DEFAULT_CTOL) -> np.ndarray:
+    """Matrix dL/dt minus the commutator, dL/dt by a central difference.
 
     The bracket ordering is [L, M] for the small pairs and [M*, L*] for the
-    big one; the residual decays quadratically in h.
+    big one; the defect decays quadratically in h.
     """
     sp = rk4_step(sys, s, h, ctol)
     sm = rk4_step(sys, s, -h, ctol)
@@ -192,7 +187,20 @@ def lax_residual(sys: SystemSpec, s: PhaseState, which: str, lam: float,
     dL = (pp.L(lam) - pm.L(lam)) / (2.0 * h)
     L, A = pair.L(lam), pair.A(lam)
     comm = L @ A - A @ L if which == "small" else A @ L - L @ A
-    return float(np.max(np.abs(dL - comm)))
+    return dL - comm
+
+
+def lax_residual(sys: SystemSpec, s: PhaseState, which: str, lam: float,
+                 h: float = 1e-5, ctol: float = DEFAULT_CTOL) -> float:
+    """Max-entry norm of the Richardson-extrapolated Lax defect.
+
+    With D = `lax_defect`, (4 D(h/2) - D(h)) / 3 cancels the h^2 term of the
+    central difference (Richardson, Phil. Trans. A 210, 1911), which leaves
+    the identity's own residual plus O(h^4) and rounding.
+    """
+    D = (4.0 * lax_defect(sys, s, which, lam, h / 2.0, ctol)
+         - lax_defect(sys, s, which, lam, h, ctol)) / 3.0
+    return float(np.max(np.abs(D)))
 
 
 # ---------------------------------------------------------------------------
@@ -337,15 +345,6 @@ def integral_family(sys: SystemSpec, s: PhaseState) -> IntegralFamily:
                           g, charges, J, rel)
 
 
-def per_axis_integrals(sys: SystemSpec, s: PhaseState) -> np.ndarray:
-    """The n+1 integrals f_i; defined only when all axes are distinct."""
-    fam = integral_family(sys, s)
-    if fam.f is None:
-        raise SymmetricSpecError("per-axis integrals need distinct axes; "
-                                 "use the per-group family instead")
-    return fam.f
-
-
 def det_L(sys: SystemSpec, s: PhaseState, lam: float):
     """det of the small Lax matrix at lam (poles at the axes excluded)."""
     return build_lax(sys, s, "small").det_L(lam)
@@ -425,15 +424,6 @@ def real_roots(coeffs, im_tol: float = 1e-7) -> np.ndarray:
     scale = max(1.0, float(np.max(np.abs(rts))))
     out = np.sort(rts[np.abs(rts.imag) <= im_tol * scale].real)
     return out
-
-
-def count_sign_changes(coeffs, lo: float, hi: float, samples: int = 20001) -> int:
-    """Grid sign-change count of a polynomial on [lo, hi] (scan oracle)."""
-    xs = np.linspace(lo, hi, samples)
-    vals = np.polyval(np.asarray(coeffs, dtype=float), xs)
-    sgn = np.sign(vals)
-    sgn = sgn[sgn != 0]
-    return int(np.count_nonzero(np.diff(sgn)))
 
 
 # ---------------------------------------------------------------------------

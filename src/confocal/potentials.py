@@ -21,20 +21,15 @@ from .geometry import _pole_guard
 
 @dataclass
 class HierarchyTables:
-    """Values V^(1..m), per-axis shares F_i^(k), and their x-gradients.
+    """Values V^(1..m), per-axis shares F_i^(k), and the gradients of V^(k).
 
-    F[k-1] is the length-(n+1) array of F_i^(k); gradF[k-1][i, j] holds
-    dF_i^(k)/dx_j and gradV[k-1] the gradient of V^(k).
+    F[k-1] is the length-(n+1) array of F_i^(k) and gradV[k-1] the
+    x-gradient of V^(k).
     """
 
     V: list[float]
     F: list[np.ndarray]
     gradV: list[np.ndarray]
-    gradF: list[np.ndarray]
-
-    @property
-    def depth(self) -> int:
-        return len(self.V)
 
 
 def hierarchy_eval(axes, x, m: int) -> HierarchyTables:
@@ -48,19 +43,18 @@ def hierarchy_eval(axes, x, m: int) -> HierarchyTables:
     n1 = a.size
     F = x * x
     dF = np.diag(2.0 * x)
-    Vs, Fs, gVs, gFs = [], [], [], []
+    Vs, Fs, gVs = [], [], []
     for _ in range(m):
         V = float(F.sum())
         gV = dF.sum(axis=0)
         Vs.append(V)
-        Fs.append(F.copy())
-        gVs.append(gV.copy())
-        gFs.append(dF.copy())
+        Fs.append(F)
+        gVs.append(gV)
         Fn = a * F - x * x * V
         dFn = a[:, None] * dF - np.outer(x * x, gV)
         dFn[np.arange(n1), np.arange(n1)] -= 2.0 * x * V
         F, dF = Fn, dFn
-    return HierarchyTables(Vs, Fs, gVs, gFs)
+    return HierarchyTables(Vs, Fs, gVs)
 
 
 def rosochatius_eval(axes, x, s: int, degree: int) -> tuple[float, np.ndarray]:
@@ -99,14 +93,14 @@ _FD_OFFS = (-2.0, -1.0, 1.0, 2.0)
 _FD_WTS = (1.0 / 12.0, -8.0 / 12.0, 8.0 / 12.0, -1.0 / 12.0)
 
 
-def _fd1(func, x: np.ndarray, i: int, h: float) -> float:
+def _fd1(func, x: np.ndarray, i: int, h: float):
     """Five-point central first derivative in coordinate i."""
     e = np.zeros_like(x)
     e[i] = 1.0
     return sum(w * func(x + o * h * e) for o, w in zip(_FD_OFFS, _FD_WTS)) / h
 
 
-def _fd2_diag(func, x: np.ndarray, i: int, h: float) -> float:
+def _fd2_diag(func, x: np.ndarray, i: int, h: float):
     """Fourth-order central second derivative in coordinate i."""
     e = np.zeros_like(x)
     e[i] = 1.0
@@ -114,7 +108,7 @@ def _fd2_diag(func, x: np.ndarray, i: int, h: float) -> float:
             + 16 * func(x - h * e) - func(x - 2 * h * e)) / (12 * h * h)
 
 
-def _fd2_mixed(func, x: np.ndarray, i: int, j: int, hi: float, hj: float) -> float:
+def _fd2_mixed(func, x: np.ndarray, i: int, j: int, hi: float, hj: float):
     """Fourth-order mixed second derivative (product of two 1-d stencils)."""
     ei = np.zeros_like(x)
     ei[i] = 1.0
@@ -127,14 +121,20 @@ def _fd2_mixed(func, x: np.ndarray, i: int, j: int, hi: float, hj: float) -> flo
     return tot / (hi * hj)
 
 
-def bd_residual(axes, V, x, i: int, j: int, h: float = 5e-4) -> float:
-    """Second-order separability residual of a scalar potential at x.
+def bd_residual(axes, V, x, h: float = 5e-4) -> np.ndarray:
+    """Second-order separability residuals of a potential at x, one row per
+    index pair i < j in row-major order: (0,1), (0,2), (1,2) for three axes.
 
-    Evaluates (a_i - a_j) d2V/dx_i dx_j + (x_j d_i - x_i d_j)(2V + sum_k x_k d_k V)
-    from direct first- and second-derivative central stencils of V (the
-    rotational term expands to 3(x_j V_i - x_i V_j) + sum_k x_k (x_j V_ik -
-    x_i V_jk), so no nested differencing of noisy intermediates is needed).
-    The result vanishes for the polynomial and inverse-power bases separable
+    Each row evaluates (a_i - a_j) d2V/dx_i dx_j + (x_j d_i - x_i d_j)(2V +
+    sum_k x_k d_k V) from direct first- and second-derivative central stencils
+    of V (the rotational term expands to 3(x_j V_i - x_i V_j) + sum_k x_k (x_j
+    V_ik - x_i V_jk), so no nested differencing of noisy intermediates is
+    needed).  Every first-derivative stencil and every ordered second-derivative
+    stencil is evaluated once and shared by all pairs.  V may return a 1-d
+    array; the result then has one column per component, each equal bit for
+    bit to the call with that component alone.
+
+    The residuals vanish for the polynomial and inverse-power bases separable
     in the confocal coordinates of the axes; the rotational operator's
     orientation is fixed by that family, as the opposite sign annihilates
     only the degree-2 member.  Steps scale with each coordinate, which keeps
@@ -142,43 +142,34 @@ def bd_residual(axes, V, x, i: int, j: int, h: float = 5e-4) -> float:
     """
     a = np.asarray(axes, dtype=float)
     x = np.asarray(x, dtype=float)
-    if i == j:
-        raise ValueError("indices must differ")
+    n1 = a.size
     hs = h * (0.25 + np.abs(x))
+    d1 = [_fd1(V, x, k, hs[k]) for k in range(n1)]
+    # d2[k][l] and d2[l][k] sum the same points in different orders
+    d2 = [[_fd2_diag(V, x, k, hs[k]) if k == l
+           else _fd2_mixed(V, x, k, l, hs[k], hs[l]) for l in range(n1)]
+          for k in range(n1)]
+    out = []
+    for i in range(n1):
+        for j in range(i + 1, n1):
+            rot = 3.0 * (x[j] * d1[i] - x[i] * d1[j])
+            for k in range(n1):
+                rot += x[k] * (x[j] * d2[i][k] - x[i] * d2[j][k])
+            out.append((a[i] - a[j]) * d2[i][j] + rot)
+    return np.array(out, dtype=float)
 
-    def d1(k):
-        return _fd1(V, x, k, hs[k])
 
-    def d2(k, l):
-        if k == l:
-            return _fd2_diag(V, x, k, hs[k])
-        return _fd2_mixed(V, x, k, l, hs[k], hs[l])
-
-    Vi, Vj = d1(i), d1(j)
-    rot = 3.0 * (x[j] * Vi - x[i] * Vj)
-    for k in range(a.size):
-        rot += x[k] * (x[j] * d2(i, k) - x[i] * d2(j, k))
-    return float((a[i] - a[j]) * d2(i, j) + rot)
-
-
-def omega_coefficients(axes, x, k: int, tables: HierarchyTables | None = None) -> np.ndarray:
+def omega_coefficients(tables: HierarchyTables, k: int) -> np.ndarray:
     """Coefficients (highest power first) of the degree-(k-1) polynomial Omega_k.
 
-    Determined by matching 2 Omega_k (1 + q_lam(x,x)) against
-    2 Delta_k + <(lam - A)^-1 x, grad V^(k)> at k sample values of lam placed
-    beyond the largest axis, where 1 + q_lam(x,x) stays away from zero.
+    The recurrence sums to W(lam) = sum_k V^(k) lam^-k = q / (1 + q), with
+    q = sum_i x_i^2 / (lam - a_i).  Delta_k is the polynomial part of
+    lam^{k-1} (1 - W) and Omega_k that of lam^{k-1} (1 - W)^2, so Omega_k's
+    coefficients are the first k of the self-convolution of
+    d = (1, -V^(1), ..., -V^(k-1)).  `tables` must reach level k - 1.
     """
-    a = np.asarray(axes, dtype=float)
-    x = np.asarray(x, dtype=float)
-    t = tables if tables is not None else hierarchy_eval(a, x, k)
-    span = float(np.max(a) - np.min(a)) or 1.0
-    lams = np.max(a) + span * np.arange(1, k + 1)
-    vals = np.empty(k)
-    for idx, lam in enumerate(lams):
-        q = float((x * x / (lam - a)).sum())
-        rhs = 2.0 * delta_value(t, k, lam) + float((x / (lam - a)) @ t.gradV[k - 1])
-        vals[idx] = rhs / (2.0 * (1.0 + q))
-    return np.linalg.solve(np.vander(lams, k), vals)
+    d = np.concatenate(([1.0], -np.asarray(tables.V[:k - 1], dtype=float)))
+    return np.convolve(d, d)[:k]
 
 
 def delta_value(tables: HierarchyTables, k: int, lam: float) -> float:
@@ -203,7 +194,7 @@ def delta_omega(axes, x, lam: float, k: int) -> tuple[float, float]:
         raise ValueError("k must be at least 1")
     tables = hierarchy_eval(a, x, k)
     delta = delta_value(tables, k, lam)
-    omega = float(np.polyval(omega_coefficients(a, x, k, tables), lam))
+    omega = float(np.polyval(omega_coefficients(tables, k), lam))
     q = float((x * x / (lam - a)).sum())
     resid = abs(2.0 * omega * (1.0 + q) - 2.0 * delta - float((x / (lam - a)) @ tables.gradV[k - 1]))
     if resid > 1e-10 * max(1.0, abs(omega)):

@@ -456,24 +456,3 @@ class TestCausticsAndClosure:
 
         d = [orbit_distance(e) for e in (0.2, 0.1, 0.05)]
         assert d[0] > d[1] > d[2]
-
-
-class TestAdmissibility:
-    def test_negative_forcing_always_admissible(self):
-        spec = BilliardSpec((2.0, 1.0), sigma=-1.0)
-        from confocal.billiard import admissible
-
-        x, y = random_impact_state(spec.axes, -1.0, spec.mu, 23)
-        assert admissible(spec, ImpactState(x, y))
-
-    def test_positive_forcing_energy_gate(self):
-        from confocal.billiard import admissible
-
-        spec = BilliardSpec((2.0, 1.0), sigma=0.5, eps_admissible=1e-3)
-        x = np.array([np.sqrt(2.0), 0.0])
-        fast = ImpactState(x, np.array([-2.0, 0.4]))
-        assert admissible(spec, fast)
-        # the printed gate combines two positive terms, so it can only fail
-        # with a tighter configured bound
-        slow = ImpactState(x, np.array([-1e-8, 0.0]))
-        assert not admissible(spec, slow, eps=10.0)

@@ -22,7 +22,7 @@ from confocal.errors import (
     ReductionSingularError,
     SingularAxisError,
 )
-from confocal.lax import integral_family, per_axis_integrals
+from confocal.lax import integral_family
 from confocal.sampling import random_state
 
 AXES = (1.0, 2.0, 3.0)
@@ -153,8 +153,8 @@ class TestIntegrate:
         sys = SystemSpec("double_jacobi", AXES, sigma=0.3)
         s0 = random_state(sys, 5, y_scale=0.5)
         traj = integrate(sys, s0, 1.0, 1e-3)
-        f0 = per_axis_integrals(sys, s0)
-        fT = per_axis_integrals(sys, traj[-1])
+        f0 = integral_family(sys, s0).f
+        fT = integral_family(sys, traj[-1]).f
         np.testing.assert_allclose(fT, f0, atol=1e-9)
 
 
@@ -285,7 +285,7 @@ class TestDiracBracket:
         sys = self.sys
         for seed in range(5):
             s = random_state(sys, 100 + seed)
-            fam_f = lambda st, i: float(per_axis_integrals(sys, st)[i])
+            fam_f = lambda st, i: float(integral_family(sys, st).f[i])
             for i in range(3):
                 for j in range(i + 1, 3):
                     val = dirac_bracket(

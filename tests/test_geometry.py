@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from confocal.billiard import BilliardSpec
 from confocal.errors import (
     DegenerateChartError,
     InvalidCoordsError,
@@ -12,7 +13,6 @@ from confocal.geometry import (
     EllipticCoords,
     coords_from_elliptic,
     elliptic_coords,
-    on_ellipsoid,
     projective_metric_eval,
     tangency_value,
 )
@@ -66,19 +66,19 @@ class TestEllipsoidSpec:
 
 class TestOnEllipsoid:
     def test_unit_circle_vertex(self):
-        spec = EllipsoidSpec([1.0, 1.0])
-        assert on_ellipsoid(spec, [1.0, 0.0], 1e-12)
+        spec = BilliardSpec([1.0, 1.0])
+        assert spec.boundary_residual([1.0, 0.0]) == 0.0
 
     def test_off_ellipsoid_value(self):
-        spec = EllipsoidSpec([2.0, 1.0])
+        spec = BilliardSpec([2.0, 1.0])
         # <A^-1 x, x> = 1/2 + 1 = 1.5
-        assert not on_ellipsoid(spec, [1.0, 1.0], 1e-12)
+        assert spec.boundary_residual([1.0, 1.0]) == 0.5
 
     def test_point_from_elliptic_chart_lies_on_surface(self):
         spec = EllipsoidSpec([1.0, 2.0, 3.0])
         ec = EllipticCoords([0.0, 1.4, 2.6], [1, -1, 1])
         x = coords_from_elliptic(spec, ec)
-        assert on_ellipsoid(spec, x, 1e-12)
+        assert abs((x / spec.a) @ x - 1.0) <= 1e-12
 
 
 class TestEllipticCoords:
@@ -245,16 +245,6 @@ class TestProjectiveMetric:
             X = rng.normal(size=4) + 1j * rng.normal(size=4)
             m, _ = projective_metric_eval([0.5, 1.0, 2.0, 5.0], w, X)
             assert m >= -1e-12
-
-
-class TestQuadricParam:
-    def test_validation_excludes_axes(self):
-        from confocal.geometry import QuadricParam
-
-        spec = EllipsoidSpec([1.0, 2.0, 3.0])
-        assert QuadricParam(0.5).validate(spec).eta == 0.5
-        with pytest.raises(PoleError):
-            QuadricParam(2.0).validate(spec)
 
 
 def test_tangency_far_parameter_asymptote():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from confocal import suites
 from confocal.dynamics import PhaseState, SystemSpec, energy, fd_gradient, integrate
-from confocal.errors import InvariantVarietyError, PoleError, SymmetricSpecError
+from confocal.errors import InvariantVarietyError, PoleError
 from confocal.billiard import tangent_directions
 from confocal.geometry import pole_form, tangency_value
 from confocal.lax import (
@@ -11,15 +12,14 @@ from confocal.lax import (
     clearing_exponents,
     commutation_suite,
     commuting_pairs,
-    count_sign_changes,
     det_L,
     gradient_ftilde,
     gradient_pair_sum,
     gradient_rank_report,
     integral_family,
     lambda_samples,
+    lax_defect,
     lax_residual,
-    per_axis_integrals,
     psi_poly,
     real_roots,
     spectral_expansion,
@@ -31,6 +31,15 @@ from confocal.sampling import (
 )
 
 AXES = (1.0, 2.0, 3.0)
+
+
+def count_sign_changes(coeffs, lo: float, hi: float, samples: int = 20001) -> int:
+    """Grid sign-change count of a polynomial on [lo, hi] (scan oracle)."""
+    xs = np.linspace(lo, hi, samples)
+    vals = np.polyval(np.asarray(coeffs, dtype=float), xs)
+    sgn = np.sign(vals)
+    sgn = sgn[sgn != 0]
+    return int(np.count_nonzero(np.diff(sgn)))
 
 
 class TestBuildLax:
@@ -147,14 +156,21 @@ class TestLaxResidual:
         rng = np.random.default_rng(6)
         for _ in range(5):
             s = random_state(sys, rng)
-            r1 = lax_residual(sys, s, "small", 0.37, 1e-3)
-            r2 = lax_residual(sys, s, "small", 0.37, 5e-4)
+            r1 = np.max(np.abs(lax_defect(sys, s, "small", 0.37, 1e-3)))
+            r2 = np.max(np.abs(lax_defect(sys, s, "small", 0.37, 5e-4)))
             assert 2.5 < r1 / r2 < 6.0
 
     def test_free_flow_pair(self):
         sys = SystemSpec("free_jr", (2.0, 1.0), sigma=0.5, mu=(0.0, 0.3))
         s = PhaseState(np.array([0.4, 0.8]), np.array([0.3, -0.2]))
         assert lax_residual(sys, s, "small", 0.37, 1e-5) < 1e-8
+
+    @pytest.mark.parametrize("seed", [6, 12])
+    def test_suite_passes_where_the_h2_truncation_failed(self, seed):
+        # the unextrapolated central difference exceeded 1e-7 here
+        # (rosochatius/small at seed 6, double/big at seed 12)
+        bad = [r for r in suites.suite_lax_residual(seed=seed) if not r.passed]
+        assert not bad, [f"{r.name}: {r.value}" for r in bad]
 
 
 class TestLambdaSamples:
@@ -180,7 +196,7 @@ class TestSpectralData:
     def test_distinct_axes_pole_expansion(self):
         sys = SystemSpec("jacobi", AXES, sigma=0.0)
         s = random_state(sys, 7)
-        f = per_axis_integrals(sys, s)
+        f = integral_family(sys, s).f
         rng = np.random.default_rng(8)
         for lam in rng.uniform(3.5, 9.0, size=5):
             expect = float((f / (lam - sys.a)).sum())
@@ -275,8 +291,6 @@ class TestIntegralFamily:
         sys = SystemSpec("jacobi_rosochatius", (1.3, 1.3, 2.9, 2.9), sigma=0.3,
                          mu=(0.3, 0.2, 0.25, 0.15))
         s = random_state(sys, 16)
-        with pytest.raises(SymmetricSpecError):
-            per_axis_integrals(sys, s)
         assert integral_family(sys, s).f is None
 
     def test_chain_sums_nest_to_the_group_invariant(self):
