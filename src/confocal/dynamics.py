@@ -75,6 +75,13 @@ class PhaseState:
                           None if self.eta is None else self.eta.copy())
 
 
+def _frozen_array(values) -> np.ndarray:
+    """A float array that raises on any write."""
+    arr = np.array(values, dtype=float)
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class SystemSpec:
     """Which flow to integrate, on which axes, with which force parameters."""
@@ -103,14 +110,10 @@ class SystemSpec:
         object.__setattr__(self, "sigma", float(sigma))
         object.__setattr__(self, "sigmas", tuple(float(s) for s in sigmas))
         object.__setattr__(self, "mu", mu)
-
-    @property
-    def a(self) -> np.ndarray:
-        return np.asarray(self.axes)
-
-    @property
-    def mu_arr(self) -> np.ndarray:
-        return np.asarray(self.mu) if self.mu else np.zeros(len(self.axes))
+        # read-only arrays built once; not dataclass fields, so __eq__ and
+        # __hash__ still compare the fields only
+        object.__setattr__(self, "a", _frozen_array(axes))
+        object.__setattr__(self, "mu_arr", _frozen_array(mu or np.zeros(len(axes))))
 
     @property
     def constrained(self) -> bool:

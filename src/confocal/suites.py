@@ -355,9 +355,9 @@ def suite_hierarchy_identities(seed=0, n_points=50, closed_tol=1e-12,
             worst_closure = float(np.maximum(worst_closure,
                                              abs(t.V[k - 1] - t.F[k - 1].sum())))
         lam = float(rng.uniform(3.5, 6.0))
-        d1, o1 = pt.delta_omega(a, x, lam, 1)
-        d2, o2 = pt.delta_omega(a, x, lam, 2)
-        d3, o3 = pt.delta_omega(a, x, lam, 3)
+        d1, o1 = pt.delta_omega(a, x, lam, 1, t)
+        d2, o2 = pt.delta_omega(a, x, lam, 2, t)
+        d3, o3 = pt.delta_omega(a, x, lam, 3, t)
         worst_closed = float(np.max([
             worst_closed,
             abs(d1 - 1.0), abs(o1 - 1.0),
@@ -366,7 +366,7 @@ def suite_hierarchy_identities(seed=0, n_points=50, closed_tol=1e-12,
             abs(o3 - (lam**2 - 2 * lam * xx - 2 * axx + 3 * xx**2)),
         ]))
         for k in range(1, 6):
-            _, om = pt.delta_omega(a, x, lam, k)
+            _, om = pt.delta_omega(a, x, lam, k, t)
             q = float((x * x / (lam - a)).sum())
             resid = abs(2 * om * (1 + q) - 2 * pt.delta_value(t, k, lam)
                         - float((x / (lam - a)) @ t.gradV[k - 1]))

@@ -21,6 +21,7 @@ from confocal.billiard import (
     tangent_directions,
     tangent_state,
 )
+from confocal import suites
 from confocal.dynamics import SystemSpec, integrate, PhaseState
 from confocal.errors import (
     DimensionError,
@@ -254,6 +255,112 @@ class TestOracleStep:
         pts = flight(spec, ImpactState(x, y), np.linspace(0.0, 0.2, 50))
         assert np.all(pts[:, 1] > 0.0)
         assert np.all((pts[1:-1] / spec.a * pts[1:-1]).sum(axis=1) < 1.0 + 1e-9)
+
+
+def oracle_step_numpy(spec, s, h=4e-3, t_max=100.0):
+    """Reference: the array form of `oracle_step`'s scan and bisection, one
+    numpy RK4 step per h/4, kept to catch a transcription slip in the float
+    kernel."""
+    a = spec.a
+    mu2 = spec.mu_arr**2
+    nz = spec.mu_arr != 0
+    sig = spec.sigma
+
+    def accel(x):
+        out = -sig * x
+        if nz.any():
+            out[nz] += mu2[nz] / x[nz] ** 3
+        return out
+
+    def step(x, y, dt):
+        k1x, k1y = y, accel(x)
+        k2x, k2y = y + 0.5 * dt * k1y, accel(x + 0.5 * dt * k1x)
+        k3x, k3y = y + 0.5 * dt * k2y, accel(x + 0.5 * dt * k2x)
+        k4x, k4y = y + dt * k3y, accel(x + dt * k3x)
+        return (x + dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x),
+                y + dt / 6.0 * (k1y + 2 * k2y + 2 * k3y + k4y))
+
+    hs = h / 4.0
+    x, y = s.x.copy(), s.y.copy()
+    t = 0.0
+    crossed = False
+    while t < t_max:
+        xn, yn = step(x, y, hs)
+        if (xn / a) @ xn - 1.0 >= 0.0:
+            crossed = True
+            break
+        x, y, t = xn, yn, t + hs
+    assert crossed, "reference found no crossing"
+    lo, hi = 0.0, hs
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        xm, _ = step(x, y, mid)
+        if (xm / a) @ xm - 1.0 >= 0.0:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo < 1e-12:
+            break
+    xh, yh = step(x, y, hi)
+    xh = xh / np.sqrt((xh / a) @ xh)
+    n = xh / a
+    y1 = yh - 2.0 * ((yh @ n) / (n @ n)) * n
+    return ImpactState(xh, y1, s.k + 1)
+
+
+class TestOracleKernel:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_float_kernel_matches_array_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        cases = 0
+        for n in (2, 3):
+            base, mus = suites._billiard_specs(n)
+            for mu in mus.values():
+                for sigma in (-1.0, 0.0, 0.3):
+                    spec = BilliardSpec(base, sigma=sigma, mu=mu)
+                    x, y = random_impact_state(base, sigma, mu, rng, speed=1.3)
+                    s = ImpactState(x, y)
+                    got = oracle_step(spec, s, h=2e-3)
+                    ref = oracle_step_numpy(spec, s, h=2e-3)
+                    np.testing.assert_allclose(got.x, ref.x, rtol=0, atol=1e-13)
+                    np.testing.assert_allclose(got.y, ref.y, rtol=0, atol=1e-13)
+                    assert got.k == ref.k == 1
+                    cases += 1
+        assert cases == 18
+
+    def test_spec_arrays_are_built_once_and_read_only(self):
+        spec = BilliardSpec((2.0, 1.0, 0.6), sigma=0.3, mu=(0.0, 0.25, 0.0))
+        assert spec.a is spec.a and spec.mu_arr is spec.mu_arr
+        for arr in (spec.a, spec.mu_arr):
+            assert not arr.flags.writeable
+        same = BilliardSpec([2.0, 1.0, 0.6], sigma=0.3, mu=[0.0, 0.25, 0.0])
+        assert same == spec and hash(same) == hash(spec)
+
+    def test_charged_coordinate_on_its_axis_raises_singular_axis(self):
+        spec = BilliardSpec((2.0, 1.0), sigma=0.3, mu=(0.0, 0.25))
+        s = ImpactState(np.array([np.sqrt(2.0), 0.0]), np.array([-1.0, 0.2]))
+        assert impact_invariant(spec, s) < 0.0
+        with pytest.raises(SingularAxisError):
+            oracle_step(spec, s)
+
+    def test_suite_calls_oracle_step_once_per_compared_bounce(self, monkeypatch):
+        # the benchmark counts compared bounces by wrapping billiard.oracle_step;
+        # a suite that bypassed it would report every case as comparing nothing
+        import confocal.billiard as bl
+
+        calls = []
+        inner = bl.oracle_step
+
+        def counted(*args, **kwargs):
+            out = inner(*args, **kwargs)
+            calls.append(out.k)
+            return out
+
+        monkeypatch.setattr(bl, "oracle_step", counted)
+        recs = suites.suite_billiard_oracle(seed=0, bounces=2)
+        assert len(recs) == 18
+        assert len(calls) == 36  # 18 cases x 2 bounces, no resample at seed 0
+        assert all(r.passed for r in recs)
 
 
 class TestDiscreteConjugation:

@@ -73,6 +73,18 @@ class TestRightHandSides:
             SystemSpec(kind, AXES, sigma=0.4, mu=(0.2, 0.0, 0.3))
         SystemSpec(kind, AXES, sigma=0.4, mu=(0.0, 0.0, 0.0))
 
+    def test_spec_arrays_are_built_once_and_read_only(self):
+        sys = SystemSpec("jacobi_rosochatius", AXES, sigma=0.4, mu=(0.2, 0.0, 0.3))
+        assert sys.a is sys.a and sys.mu_arr is sys.mu_arr
+        np.testing.assert_array_equal(sys.a, AXES)
+        np.testing.assert_array_equal(sys.mu_arr, [0.2, 0.0, 0.3])
+        np.testing.assert_array_equal(SystemSpec("jacobi", AXES).mu_arr, np.zeros(3))
+        for arr in (sys.a, sys.mu_arr):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        same = SystemSpec("jacobi_rosochatius", tuple(AXES), sigma=0.4, mu=(0.2, 0.0, 0.3))
+        assert same == sys and hash(same) == hash(sys)
+
     def test_paired_flow_duplicates_on_the_diagonal(self):
         sysj = SystemSpec("jacobi", AXES, sigma=0.4)
         sysd = SystemSpec("double_jacobi", AXES, sigma=0.4)

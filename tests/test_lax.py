@@ -160,6 +160,16 @@ class TestLaxResidual:
             r2 = np.max(np.abs(lax_defect(sys, s, "small", 0.37, 5e-4)))
             assert 2.5 < r1 / r2 < 6.0
 
+    @pytest.mark.parametrize("which", ["small", "big"])
+    def test_residual_is_the_extrapolated_defect(self, which):
+        # one commutator for both steps gives the numbers of two full defects
+        sys = SystemSpec("jacobi", AXES, sigma=0.4)
+        s = random_state(sys, 7)
+        for lam in (0.37, 5.1):
+            D = (4.0 * lax_defect(sys, s, which, lam, 5e-6)
+                 - lax_defect(sys, s, which, lam, 1e-5)) / 3.0
+            assert lax_residual(sys, s, which, lam, 1e-5) == float(np.max(np.abs(D)))
+
     def test_free_flow_pair(self):
         sys = SystemSpec("free_jr", (2.0, 1.0), sigma=0.5, mu=(0.0, 0.3))
         s = PhaseState(np.array([0.4, 0.8]), np.array([0.3, -0.2]))

@@ -182,6 +182,15 @@ class TestDeltaOmega:
              lam**2 - 2 * lam * xx - 2 * axx + 3 * xx**2],
             rtol=1e-12)
 
+    def test_deeper_table_gives_identical_values(self):
+        rng = np.random.default_rng(10)
+        for _ in range(20):
+            x = rng.normal(size=3)
+            lam = float(rng.uniform(3.5, 6.0))
+            t = hierarchy_eval(AXES, x, 6)
+            for k in range(1, 7):
+                assert delta_omega(AXES, x, lam, k, t) == delta_omega(AXES, x, lam, k)
+
     def test_defining_identity_at_many_parameters(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
