@@ -172,19 +172,6 @@ def build_lax(sys: SystemSpec, s: PhaseState, which: str = "small",
     return LaxPairBig(sys, x, y, xi, eta)
 
 
-def _central_dL(sys: SystemSpec, s: PhaseState, which: str, lam: float,
-                h: float, ctol: float) -> np.ndarray:
-    sp = rk4_step(sys, s, h, ctol)
-    sm = rk4_step(sys, s, -h, ctol)
-    return (build_lax(sys, sp, which).L(lam) - build_lax(sys, sm, which).L(lam)) / (2.0 * h)
-
-
-def _commutator(sys: SystemSpec, s: PhaseState, which: str, lam: float) -> np.ndarray:
-    pair = build_lax(sys, s, which)
-    L, A = pair.L(lam), pair.A(lam)
-    return L @ A - A @ L if which == "small" else A @ L - L @ A
-
-
 def lax_defect(sys: SystemSpec, s: PhaseState, which: str, lam: float,
                h: float = 1e-5, ctol: float = DEFAULT_CTOL) -> np.ndarray:
     """Matrix dL/dt minus the commutator, dL/dt by a central difference.
@@ -192,7 +179,15 @@ def lax_defect(sys: SystemSpec, s: PhaseState, which: str, lam: float,
     The bracket ordering is [L, M] for the small pairs and [M*, L*] for the
     big one; the defect decays quadratically in h.
     """
-    return _central_dL(sys, s, which, lam, h, ctol) - _commutator(sys, s, which, lam)
+    sp = rk4_step(sys, s, h, ctol)
+    sm = rk4_step(sys, s, -h, ctol)
+    pair = build_lax(sys, s, which)
+    pp = build_lax(sys, sp, which)
+    pm = build_lax(sys, sm, which)
+    dL = (pp.L(lam) - pm.L(lam)) / (2.0 * h)
+    L, A = pair.L(lam), pair.A(lam)
+    comm = L @ A - A @ L if which == "small" else A @ L - L @ A
+    return dL - comm
 
 
 def lax_residual(sys: SystemSpec, s: PhaseState, which: str, lam: float,
@@ -201,12 +196,10 @@ def lax_residual(sys: SystemSpec, s: PhaseState, which: str, lam: float,
 
     With D = `lax_defect`, (4 D(h/2) - D(h)) / 3 cancels the h^2 term of the
     central difference (Richardson, Phil. Trans. A 210, 1911), which leaves
-    the identity's own residual plus O(h^4) and rounding.  The commutator
-    at s is built once for both steps.
+    the identity's own residual plus O(h^4) and rounding.
     """
-    dL_half = _central_dL(sys, s, which, lam, h / 2.0, ctol)
-    comm = _commutator(sys, s, which, lam)
-    D = (4.0 * (dL_half - comm) - (_central_dL(sys, s, which, lam, h, ctol) - comm)) / 3.0
+    D = (4.0 * lax_defect(sys, s, which, lam, h / 2.0, ctol)
+         - lax_defect(sys, s, which, lam, h, ctol)) / 3.0
     return float(np.max(np.abs(D)))
 
 

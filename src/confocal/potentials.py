@@ -181,12 +181,12 @@ def delta_value(tables: HierarchyTables, k: int, lam: float) -> float:
 
 
 def delta_omega(axes, x, lam: float, k: int,
-                tables: HierarchyTables | None = None) -> tuple[float, float]:
+                tables: HierarchyTables) -> tuple[float, float]:
     """Values of the hierarchy polynomials Delta_k and Omega_k at lam.
 
     Delta_k = lam^{k-1} - lam^{k-2} V^(1) - ... - V^(k-1); Omega_k is the
     polynomial solving 2 Omega_k (1 + q_lam(x,x)) = 2 Delta_k +
-    <(lam-A)^-1 x, grad V^(k)> identically in lam.  `tables`, if given, are
+    <(lam-A)^-1 x, grad V^(k)> identically in lam.  `tables` are
     `hierarchy_eval(axes, x, m)` for some m >= k; levels 1..k of a deeper
     table are the same numbers, so the values do not depend on m.
     """
@@ -195,8 +195,6 @@ def delta_omega(axes, x, lam: float, k: int,
     _pole_guard(a, lam)
     if k < 1:
         raise ValueError("k must be at least 1")
-    if tables is None:
-        tables = hierarchy_eval(a, x, k)
     delta = delta_value(tables, k, lam)
     omega = float(np.polyval(omega_coefficients(tables, k), lam))
     q = float((x * x / (lam - a)).sum())

@@ -171,9 +171,10 @@ class TestDeltaOmega:
         lam = 5.3
         xx = float(x @ x)
         axx = float((AXES * x) @ x)
-        d1, o1 = delta_omega(AXES, x, lam, 1)
-        d2, o2 = delta_omega(AXES, x, lam, 2)
-        d3, o3 = delta_omega(AXES, x, lam, 3)
+        t = hierarchy_eval(AXES, x, 3)
+        d1, o1 = delta_omega(AXES, x, lam, 1, t)
+        d2, o2 = delta_omega(AXES, x, lam, 2, t)
+        d3, o3 = delta_omega(AXES, x, lam, 3, t)
         np.testing.assert_allclose([d1, o1], [1.0, 1.0], atol=1e-14)
         np.testing.assert_allclose([d2, o2], [lam - xx, lam - 2 * xx], rtol=1e-13)
         np.testing.assert_allclose(
@@ -189,7 +190,8 @@ class TestDeltaOmega:
             lam = float(rng.uniform(3.5, 6.0))
             t = hierarchy_eval(AXES, x, 6)
             for k in range(1, 7):
-                assert delta_omega(AXES, x, lam, k, t) == delta_omega(AXES, x, lam, k)
+                assert (delta_omega(AXES, x, lam, k, t)
+                        == delta_omega(AXES, x, lam, k, hierarchy_eval(AXES, x, k)))
 
     def test_defining_identity_at_many_parameters(self):
         rng = np.random.default_rng(9)
@@ -197,8 +199,8 @@ class TestDeltaOmega:
             x = rng.normal(size=3)
             for lam in rng.uniform(3.2, 9.0, size=20):
                 for k in range(1, 6):
-                    _, om = delta_omega(AXES, x, float(lam), k)
                     t = hierarchy_eval(AXES, x, k)
+                    _, om = delta_omega(AXES, x, float(lam), k, t)
                     q = float((x * x / (lam - AXES)).sum())
                     lhs = 2.0 * om * (1.0 + q)
                     rhs = (2.0 * (lam ** (k - 1)
@@ -230,7 +232,7 @@ class TestDeltaOmega:
 
     def test_pole_rejected(self):
         with pytest.raises(PoleError):
-            delta_omega(AXES, np.ones(3), 2.0, 2)
+            delta_omega(AXES, np.ones(3), 2.0, 2, hierarchy_eval(AXES, np.ones(3), 2))
 
 
 def test_hierarchy_identities_pass_where_the_interpolated_omega_failed():
