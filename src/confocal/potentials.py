@@ -40,21 +40,39 @@ def hierarchy_eval(axes, x, m: int) -> HierarchyTables:
         raise DimensionError("x must match the axes length")
     if m < 1:
         raise ValueError("m must be at least 1")
-    n1 = a.size
-    F = x * x
-    dF = np.diag(2.0 * x)
+    Vs, Fs, gVs = _recurrence(a.tolist(), x.tolist(), m)
+    return HierarchyTables(Vs, [np.array(F) for F in Fs], [np.array(g) for g in gVs])
+
+
+def _recurrence(a: list, x: list, m: int) -> tuple[list, list, list]:
+    """Levels 1..m of V^(k), F_i^(k) and grad V^(k) over Python floats.
+
+    The array form's operations in its order, with sums in coordinate
+    order, so the tables equal it bit for bit; on three or four axes a
+    numpy call costs more than its arithmetic.
+    """
+    n = len(x)
+    xx = [v * v for v in x]
+    F = xx
+    dF = [[2.0 * x[i] if i == j else 0.0 for j in range(n)] for i in range(n)]
     Vs, Fs, gVs = [], [], []
-    for _ in range(m):
-        V = float(F.sum())
-        gV = dF.sum(axis=0)
+    while len(Vs) < m:
+        V = 0.0
+        for f in F:
+            V += f
+        gV = dF[0]
+        for row in dF[1:]:
+            gV = [u + v for u, v in zip(gV, row)]
         Vs.append(V)
         Fs.append(F)
         gVs.append(gV)
-        Fn = a * F - x * x * V
-        dFn = a[:, None] * dF - np.outer(x * x, gV)
-        dFn[np.arange(n1), np.arange(n1)] -= 2.0 * x * V
-        F, dF = Fn, dFn
-    return HierarchyTables(Vs, Fs, gVs)
+        if len(Vs) == m:
+            break
+        F = [ai * fi - xi2 * V for ai, fi, xi2 in zip(a, F, xx)]
+        dF = [[ai * d - xi2 * v for d, v in zip(row, gV)] for ai, xi2, row in zip(a, xx, dF)]
+        for i in range(n):
+            dF[i][i] -= 2.0 * x[i] * V
+    return Vs, Fs, gVs
 
 
 def rosochatius_eval(axes, x, s: int, degree: int) -> tuple[float, np.ndarray]:
@@ -221,15 +239,18 @@ def hierarchy_potential(axes, x, sigmas, mu=None) -> float:
 
 def hierarchy_gradient(axes, x, sigmas, mu=None) -> np.ndarray:
     """Gradient of `hierarchy_potential` (analytic, via the recurrence)."""
-    a = np.asarray(axes, dtype=float)
-    x = np.asarray(x, dtype=float)
-    g = np.zeros_like(x)
-    if len(sigmas) > 0:
-        t = hierarchy_eval(a, x, len(sigmas))
-        for s, gv in zip(sigmas, t.gradV):
-            g += 0.5 * s * gv
-    if mu is not None:
-        mu = np.asarray(mu, dtype=float)
-        nz = mu != 0
-        g[nz] -= mu[nz] ** 2 / x[nz] ** 3
+    mu = [] if mu is None else np.asarray(mu, dtype=float).tolist()
+    return np.array(_gradient_floats(np.asarray(axes, dtype=float).tolist(),
+                                     np.asarray(x, dtype=float).tolist(), sigmas,
+                                     [(j, m) for j, m in enumerate(mu) if m != 0.0]))
+
+
+def _gradient_floats(a: list, x: list, sigmas, charged: list) -> list:
+    """`hierarchy_gradient` over Python floats; `charged` lists (index, mu)."""
+    g = [0.0] * len(x)
+    for s, gV in zip(sigmas, _recurrence(a, x, len(sigmas))[2]):
+        c = 0.5 * s
+        g = [u + c * v for u, v in zip(g, gV)]
+    for j, mu in charged:
+        g[j] -= mu * mu / x[j] ** 3
     return g

@@ -11,7 +11,6 @@ from confocal.dynamics import (
     fd_gradient,
     integrate,
     project,
-    reparametrized_rhs,
     rhs,
     rk4_step,
     torus_reconstruct,
@@ -23,9 +22,102 @@ from confocal.errors import (
     SingularAxisError,
 )
 from confocal.lax import integral_family
+from confocal.potentials import hierarchy_eval
 from confocal.sampling import random_state
 
 AXES = (1.0, 2.0, 3.0)
+
+# one system of every kind, for the float kernel against the array form
+KIND_SPECS = [
+    SystemSpec("jacobi", AXES, sigma=0.5),
+    SystemSpec("double_jacobi", AXES, sigma=0.3),
+    SystemSpec("complex_jacobi", AXES, sigma=0.4),
+    SystemSpec("jacobi_rosochatius", AXES, sigma=0.4, mu=(0.2, 0.0, 0.3)),
+    SystemSpec("separable_hierarchy", AXES, sigmas=(0.5, -0.2), mu=(0.1, 0.0, 0.2)),
+    SystemSpec("free_oscillator", (2.0, 1.0), sigma=4.0),
+    SystemSpec("free_jr", (2.0, 1.0, 0.5), sigma=0.5, mu=(0.0, 0.3, 0.0)),
+]
+
+
+# ---------------------------------------------------------------------------
+# reference: the array form of the right-hand side, RK4 step and projection
+# that the float kernel replaced
+# ---------------------------------------------------------------------------
+
+def _pair(u, v):
+    return (u @ v.conj()).real
+
+
+def rhs_numpy(sys, s):
+    a, mu = sys.a, sys.mu_arr
+    nz = mu != 0
+    if sys.kind == "double_jacobi":
+        m = ((s.y / a) @ s.eta - sys.sigma) / ((s.x / a**2) @ s.xi)
+        return PhaseState(s.y, -m * s.x / a - sys.sigma * s.x, 1.0,
+                          s.eta, -m * s.xi / a - sys.sigma * s.xi)
+    charge = np.zeros_like(s.x)
+    charge[nz] = mu[nz] ** 2 / s.x[nz] ** 3
+    if not sys.constrained:
+        return PhaseState(s.y, -sys.sigma * s.x + charge, 1.0)
+    den = _pair(s.x / a**2, s.x)
+    kin = _pair(s.y / a, s.y)
+    if sys.kind == "separable_hierarchy":
+        tables = hierarchy_eval(a, s.x, len(sys.sigmas))
+        grad = sum(0.5 * sk * gv for sk, gv in zip(sys.sigmas, tables.gradV)) - charge
+        m = (kin - (grad / a) @ s.x) / den
+        return PhaseState(s.y, -m * s.x / a - grad, 1.0)
+    w = np.zeros_like(mu)
+    w[nz] = mu[nz] / s.x[nz]
+    m = (kin + (w / a) @ w - sys.sigma) / den
+    return PhaseState(s.y, -m * s.x / a - sys.sigma * s.x + charge, 1.0)
+
+
+def _axpy(s, c, v):
+    if s.xi is None:
+        return PhaseState(s.x + c * v.x, s.y + c * v.y, s.t + c * v.t)
+    return PhaseState(s.x + c * v.x, s.y + c * v.y, s.t + c * v.t,
+                      s.xi + c * v.xi, s.eta + c * v.eta)
+
+
+def rk4_step_numpy(sys, s, h):
+    k1 = rhs_numpy(sys, s)
+    k2 = rhs_numpy(sys, _axpy(s, 0.5 * h, k1))
+    k3 = rhs_numpy(sys, _axpy(s, 0.5 * h, k2))
+    k4 = rhs_numpy(sys, _axpy(s, h, k3))
+    for k, w in ((k1, 1.0), (k2, 2.0), (k3, 2.0), (k4, 1.0)):
+        s = _axpy(s, w * h / 6.0, k)
+    return s
+
+
+def project_numpy(sys, s):
+    a = sys.a
+    s = s.copy()
+    if sys.kind == "double_jacobi":
+        for _ in range(2):
+            c = -((s.x / a) @ s.xi - 1.0) / ((s.x / a**2) @ s.x + (s.xi / a**2) @ s.xi)
+            s.x, s.xi = s.x + c * s.xi / a, s.xi + c * s.x / a
+        c = -((s.y / a) @ s.xi + (s.x / a) @ s.eta) / (2.0 * (s.x / a**2) @ s.xi)
+        s.y = s.y + c * s.x / a
+        s.eta = s.eta + c * s.xi / a
+    else:
+        for _ in range(2):
+            s.x = s.x + (-(_pair(s.x / a, s.x) - 1.0) / (2.0 * _pair(s.x / a**2, s.x))) * s.x / a
+        s.y = s.y + (-_pair(s.x / a, s.y) / _pair(s.x / a**2, s.x)) * s.x / a
+    return s
+
+
+def integrate_numpy(sys, s0, T, h):
+    n = max(1, int(round(T / h)))
+    out = [s0.copy()]
+    for _ in range(n):
+        s = rk4_step_numpy(sys, out[-1], T / n)
+        out.append(project_numpy(sys, s) if sys.constrained else s)
+    return out
+
+
+def _max_state_diff(s1, s2):
+    parts = ("x", "y") if s1.xi is None else ("x", "y", "xi", "eta")
+    return max(float(np.max(np.abs(getattr(s1, k) - getattr(s2, k)))) for k in parts)
 
 
 def _assert_same_flow(sys1, sys2, s):
@@ -170,20 +262,54 @@ class TestIntegrate:
         np.testing.assert_allclose(fT, f0, atol=1e-9)
 
 
-class TestReparametrizedFlow:
-    def test_proportional_to_plain_rhs(self):
-        sys = SystemSpec("double_jacobi", AXES, sigma=0.3)
-        rng = np.random.default_rng(6)
-        for _ in range(100):
-            s = random_state(sys, rng)
-            v = rhs(sys, s)
-            w = reparametrized_rhs(sys, s)
-            fac = (s.x / sys.a**2) @ s.xi
-            for attr in ("x", "y", "xi", "eta"):
-                np.testing.assert_allclose(
-                    getattr(w, attr), fac * np.asarray(getattr(v, attr)),
-                    rtol=1e-12, atol=1e-12)
+class TestFloatKernel:
+    # seeds 1 and 2: at seed 0 the double flow crosses its multiplier pole
+    # <A^-2 x, xi> = 0 near t = 0.85, where a one-ulp change of the initial
+    # momentum alone moves the array form's own trajectory by 3e-11
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("sys", KIND_SPECS, ids=lambda s: s.kind)
+    def test_integrate_matches_the_array_form(self, sys, seed):
+        s0 = random_state(sys, seed, y_scale=0.5)
+        got = integrate(sys, s0, 1.0, 1e-3)
+        want = integrate_numpy(sys, s0, 1.0, 1e-3)
+        assert len(got) == len(want) == 1001
+        assert max(_max_state_diff(g, w) for g, w in zip(got, want)) <= 1e-12
+        assert [g.t for g in got] == [w.t for w in want]
+        assert np.iscomplexobj(got[-1].x) == np.iscomplexobj(s0.x)
 
+    @pytest.mark.parametrize("sys", KIND_SPECS, ids=lambda s: s.kind)
+    def test_one_step_and_projection_match_the_array_form(self, sys):
+        s = random_state(sys, 2)
+        got, want = rk4_step(sys, s, 0.05), rk4_step_numpy(sys, s, 0.05)
+        assert _max_state_diff(got, want) <= 1e-14 and got.t == want.t
+        assert _max_state_diff(rhs(sys, s), rhs_numpy(sys, s)) <= 1e-13
+        if sys.constrained:
+            off = s.copy()
+            off.x = off.x * (1.0 + 1e-4)
+            off.y = off.y + 1e-4
+            if off.xi is not None:
+                off.xi = off.xi * (1.0 - 1e-4)
+            assert _max_state_diff(project(sys, off), project_numpy(sys, off)) <= 1e-14
+
+    def test_exact_zero_on_a_charged_axis_raises(self):
+        # the second stage lands on x = 0.0, where float division raises
+        free = SystemSpec("free_jr", (1.0,), mu=(0.3,))
+        with pytest.raises(SingularAxisError):
+            rk4_step(free, PhaseState([0.5], [-1.0]), 1.0)
+        constrained = SystemSpec("jacobi_rosochatius", (1.0, 2.0), mu=(0.3, 0.0))
+        with pytest.raises(SingularAxisError):
+            rk4_step(constrained, PhaseState([0.5, 1.0], [-1.0, 0.0]), 1.0)
+
+    @pytest.mark.parametrize("sys", [KIND_SPECS[1], KIND_SPECS[3], KIND_SPECS[4]],
+                             ids=lambda s: s.kind)
+    def test_complex_state_rejected_where_the_pairs_do_not_apply(self, sys):
+        # the (Re, Im) packing carries no charges, second pair or hierarchy
+        s = random_state(SystemSpec("complex_jacobi", AXES), 0)
+        with pytest.raises(ValueError, match="complex states"):
+            rhs(sys, s, check=False)
+
+
+class TestReparametrizedFlow:
     def test_factor_positive_on_diagonal_slice(self):
         sysj = SystemSpec("jacobi", AXES)
         s = random_state(sysj, 7)

@@ -255,3 +255,20 @@ class TestPotentialAssembly:
             fd = (hierarchy_potential(AXES, x + e, sigmas, mu)
                   - hierarchy_potential(AXES, x - e, sigmas, mu)) / (2 * h)
             np.testing.assert_allclose(g[i], fd, rtol=1e-8, atol=1e-8)
+
+    @pytest.mark.parametrize("axes", [suites.AXES3, suites.AXES_SYM22])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_gradient_equals_the_table_sum(self, axes, m):
+        # the float recurrence against hierarchy_eval's gradient tables
+        rng = np.random.default_rng(20 + m)
+        n1 = len(axes)
+        for _ in range(200):
+            x = rng.normal(size=n1)
+            sigmas = tuple(rng.normal(size=m))
+            mu = np.where(rng.random(n1) < 0.5, rng.uniform(0.1, 0.5, n1), 0.0)
+            tables = hierarchy_eval(axes, x, m)
+            want = sum(0.5 * s * gv for s, gv in zip(sigmas, tables.gradV))
+            nz = mu != 0
+            want[nz] -= mu[nz] ** 2 / x[nz] ** 3
+            got = hierarchy_gradient(axes, x, sigmas, mu)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
