@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import PhaseState, SystemSpec, _frozen_array
+from .dynamics import PhaseState, SystemSpec
 from .errors import (
     DimensionError,
     EscapeError,
@@ -28,40 +28,22 @@ from .geometry import _pole_guard, tangency_value
 from .lax import LaxPair2, clearing_exponents, lambda_samples, psi_poly, real_roots
 
 GRAZE_TOL = 1e-8
+MAP_TOL = 1e-12  # smallest admissible nu^2 of the bounce map
 
 
-@dataclass(frozen=True)
-class BilliardSpec:
-    """Boundary axes, elastic constant and per-coordinate charges."""
+class BilliardSpec(SystemSpec):
+    """The free_jr flow between impacts inside the ellipsoid of its axes.
 
-    axes: tuple[float, ...]
-    sigma: float = 0.0
-    mu: tuple[float, ...] = ()
+    Charges default to zero on every coordinate.
+    """
 
     def __init__(self, axes, sigma=0.0, mu=()):
-        axes = tuple(float(v) for v in np.asarray(axes, dtype=float))
-        if any(v <= 0 for v in axes):
-            raise ValueError("axes must be positive")
-        mu = tuple(float(v) for v in mu) if len(mu) else tuple(0.0 for _ in axes)
-        if len(mu) != len(axes):
-            raise DimensionError("mu must match the axes length")
-        if any(v < 0 for v in mu):
-            raise ValueError("charges must be nonnegative")
-        object.__setattr__(self, "axes", axes)
-        object.__setattr__(self, "sigma", float(sigma))
-        object.__setattr__(self, "mu", mu)
-        # read-only arrays built once; not dataclass fields, so __eq__ and
-        # __hash__ still compare (axes, sigma, mu) only
-        object.__setattr__(self, "a", _frozen_array(axes))
-        object.__setattr__(self, "mu_arr", _frozen_array(mu))
+        super().__init__("free_jr", axes, sigma=sigma,
+                         mu=mu if len(mu) else [0.0] * len(axes))
 
     @property
     def dim(self) -> int:
         return len(self.axes)
-
-    def flow_system(self) -> SystemSpec:
-        """The free flow between impacts, as a system spec."""
-        return SystemSpec("free_jr", self.axes, sigma=self.sigma, mu=self.mu)
 
     def boundary_residual(self, x) -> float:
         x = np.asarray(x, dtype=float)
@@ -86,17 +68,7 @@ def impact_invariant(spec: BilliardSpec, s: ImpactState) -> float:
     return 2.0 * float((s.x / spec.a) @ s.y)
 
 
-def energy(spec: BilliardSpec, x, y) -> float:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    h = 0.5 * float(y @ y) + 0.5 * spec.sigma * float(x @ x)
-    nz = spec.mu_arr != 0
-    if nz.any():
-        h += 0.5 * float((spec.mu_arr[nz] ** 2 / x[nz] ** 2).sum())
-    return h
-
-
-def _map_coefficients(spec: BilliardSpec, s: ImpactState, tol: float):
+def _map_coefficients(spec: BilliardSpec, s: ImpactState):
     a = spec.a
     mu = spec.mu_arr
     J = impact_invariant(spec, s)
@@ -108,12 +80,12 @@ def _map_coefficients(spec: BilliardSpec, s: ImpactState, tol: float):
     charge = float(((mu[nz] / s.x[nz]) ** 2 / a[nz]).sum()) if nz.any() else 0.0
     K = spec.sigma - float((s.y / a) @ s.y) - charge
     nusq = spec.sigma * J * J + K * K
-    if nusq <= tol:
+    if nusq <= MAP_TOL:
         raise GrazingOrSingularError(f"map denominator nu^2={nusq} not positive")
     return J, K, float(np.sqrt(nusq))
 
 
-def jr_step(spec: BilliardSpec, s: ImpactState, tol: float = 1e-12) -> ImpactState:
+def jr_step(spec: BilliardSpec, s: ImpactState) -> ImpactState:
     """One bounce of the explicit map.
 
     Charged coordinates take the positive root of the squared update; the
@@ -122,7 +94,7 @@ def jr_step(spec: BilliardSpec, s: ImpactState, tol: float = 1e-12) -> ImpactSta
     """
     a = spec.a
     mu = spec.mu_arr
-    J, K, nu = _map_coefficients(spec, s, tol)
+    J, K, nu = _map_coefficients(spec, s)
     x, y = s.x, s.y
     nz = mu != 0
     w = np.zeros(spec.dim)
@@ -152,7 +124,7 @@ def jr_step(spec: BilliardSpec, s: ImpactState, tol: float = 1e-12) -> ImpactSta
     return ImpactState(x1, y1, s.k + 1)
 
 
-def fedorov_step(spec: BilliardSpec, z, p, tol: float = 1e-12):
+def fedorov_step(spec: BilliardSpec, z, p):
     """One bounce of the complex harmonic-oscillator billiard map.
 
     Defined for chargeless specs; the real reduction of this map is `jr_step`.
@@ -167,7 +139,7 @@ def fedorov_step(spec: BilliardSpec, z, p, tol: float = 1e-12):
         raise GrazingOrSingularError(f"grazing impact, J={J}")
     K = spec.sigma - float(((p / a) @ np.conj(p)).real)
     nusq = spec.sigma * J * J + K * K
-    if nusq <= tol:
+    if nusq <= MAP_TOL:
         raise GrazingOrSingularError(f"map denominator nu^2={nusq} not positive")
     nu = float(np.sqrt(nusq))
     z1 = -(K * z + J * p) / nu
@@ -293,7 +265,7 @@ def flight(spec: BilliardSpec, s: ImpactState, t):
 
 def _discrete_companion(spec: BilliardSpec, s: ImpactState, s_next: ImpactState,
                         lam: float) -> np.ndarray:
-    J, K, nu = _map_coefficients(spec, s, 1e-12)
+    J, K, nu = _map_coefficients(spec, s)
     pi = J / float((s_next.x / spec.a**2) @ s_next.x)
     return np.array([[K * lam + J * pi, spec.sigma * J * lam - K * pi],
                      [-J * lam, K * lam]])
@@ -301,7 +273,7 @@ def _discrete_companion(spec: BilliardSpec, s: ImpactState, s_next: ImpactState,
 
 def spectral_matrix(spec: BilliardSpec, s: ImpactState) -> LaxPair2:
     """Small spectral matrix of the impact state (free-flow pair)."""
-    return LaxPair2(spec.flow_system(), s.x, s.y)
+    return LaxPair2(spec, s.x, s.y)
 
 
 def discrete_lax_check(spec: BilliardSpec, s: ImpactState, s_next: ImpactState,
@@ -345,13 +317,11 @@ class BilliardOrbit:
 
 
 def run_orbit(spec: BilliardSpec, s0: ImpactState, bounces: int,
-              lambdas=None, with_lax: bool = True) -> BilliardOrbit:
+              with_lax: bool = True) -> BilliardOrbit:
     """Iterate the explicit map, tracking spectral invariants per bounce."""
-    sysf = spec.flow_system()
     impacts = [s0]
     s = s0
-    if lambdas is None:
-        lambdas = lambda_samples(spec.axes, 5)
+    lambdas = lambda_samples(spec.axes, 5)
     dets0 = None
     det_drift = 0.0
     conj_max = 0.0
@@ -365,7 +335,7 @@ def run_orbit(spec: BilliardSpec, s0: ImpactState, bounces: int,
                 conj_max = float(np.maximum(conj_max, rec["conjugation_residual"]))
                 det_drift = float(np.maximum(det_drift, rec["det_drift"]))
         st = PhaseState(s.x, s.y)
-        rts = real_roots(psi_poly(sysf, st))
+        rts = real_roots(psi_poly(spec, st))
         seg_roots.append(rts)
         if roots0 is None:
             roots0 = rts
@@ -381,7 +351,7 @@ def expected_caustic_count(spec: BilliardSpec) -> int:
     """Number of caustic quadrics of a generic orbit: the cleared-polynomial
     degree, n + d with forcing and n - 1 + d without (d = number of charges,
     distinct axes)."""
-    delta = clearing_exponents(spec.flow_system())
+    delta = clearing_exponents(spec)
     return int(delta.sum()) + (0 if spec.sigma != 0.0 else -1)
 
 
@@ -474,12 +444,11 @@ def tangent_directions(axes, x, eta: float) -> list[np.ndarray]:
     return dirs
 
 
-def tangent_state(spec: BilliardSpec, eta: float, theta: float, speed: float = 1.0,
-                  orientation: float = 1.0) -> ImpactState:
+def tangent_state(spec: BilliardSpec, eta: float, theta: float) -> ImpactState:
     """Impact state at boundary angle theta launching tangent to eta (n=2).
 
-    Among the inward tangent directions, picks the one whose signed angular
-    advance matches `orientation`.
+    Among the unit inward tangent directions, picks the one with the largest
+    counterclockwise angular advance.
     """
     if spec.dim != 2 or spec.sigma != 0.0 or np.any(spec.mu_arr != 0):
         raise ValueError("tangent launching is a planar, force-free construction")
@@ -490,32 +459,31 @@ def tangent_state(spec: BilliardSpec, eta: float, theta: float, speed: float = 1
         if d @ n >= -1e-12:
             continue  # not inward
         cross = x[0] * d[1] - x[1] * d[0]
-        if best is None or orientation * cross > orientation * best[1]:
+        if best is None or cross > best[1]:
             best = (d, cross)
     if best is None:
         raise GrazingOrSingularError("no inward tangent direction at this point")
-    return ImpactState(x, speed * best[0], 0)
+    return ImpactState(x, best[0], 0)
 
 
-def find_planar_periodic_orbit(spec: BilliardSpec, period: int,
-                               theta0: float = 0.31, speed: float = 1.0,
-                               eta_lo: float | None = None,
-                               eta_hi: float | None = None,
-                               iters: int = 200) -> tuple[float, ImpactState]:
+def find_planar_periodic_orbit(spec: BilliardSpec, period: int) -> tuple[float, ImpactState]:
     """Caustic parameter eta whose tangent orbit closes after `period` bounces.
 
-    Shooting on eta: the boundary-angle advance after `period` bounces is
-    monotone in the caustic parameter for planar force-free billiards, so a
-    sign change of (advance - 2 pi) brackets the closing caustic.
+    Shooting on eta from the boundary angle 0.31 with unit speed: the
+    boundary-angle advance after `period` bounces is monotone in the caustic
+    parameter for planar force-free billiards, so a sign change of
+    (advance - 2 pi) over eta in (1e-4, 1 - 1e-4) times the smallest axis
+    brackets the closing caustic.
     """
     if spec.dim != 2 or spec.sigma != 0.0 or np.any(spec.mu_arr != 0):
         raise ValueError("the shooting search is planar and force-free")
     a = np.sort(spec.a)
-    lo = 1e-4 * a[0] if eta_lo is None else eta_lo
-    hi = (1.0 - 1e-4) * a[0] if eta_hi is None else eta_hi
+    lo = 1e-4 * a[0]
+    hi = (1.0 - 1e-4) * a[0]
+    theta0 = 0.31
 
     def advance(eta):
-        s = tangent_state(spec, eta, theta0, speed)
+        s = tangent_state(spec, eta, theta0)
         th0 = boundary_angle(spec.a, s.x)
         prev = th0
         total = 0.0
@@ -531,7 +499,7 @@ def find_planar_periodic_orbit(spec: BilliardSpec, period: int,
     if f_lo * f_hi > 0:
         raise GrazingOrSingularError(
             f"no closing caustic bracketed in ({lo}, {hi}): {f_lo}, {f_hi}")
-    for _ in range(iters):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         f_mid = advance(mid)
         if f_lo * f_mid <= 0:
@@ -541,4 +509,4 @@ def find_planar_periodic_orbit(spec: BilliardSpec, period: int,
         if hi - lo < 1e-14:
             break
     eta = 0.5 * (lo + hi)
-    return eta, tangent_state(spec, eta, theta0, speed)
+    return eta, tangent_state(spec, eta, theta0)

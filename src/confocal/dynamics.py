@@ -30,11 +30,13 @@ kernel keeps the array form's order of operations ((x / a^2) x summed in
 coordinate order, -m x / a - sigma x and then + mu^2 / x^3 on charged
 coordinates, (((s + h/6 k1) + 2h/6 k2) + 2h/6 k3) + h/6 k4), so results
 move only in the last bits.  Float division by zero and an overflowing cube
-raise SingularAxisError where numpy returned inf.
+raise SingularAxisError where numpy returned inf.  The double flow raises
+MultiplierSingularError once <A^-2 x, xi> leaves the side it started on.
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -105,7 +107,8 @@ class SystemSpec:
     def __init__(self, kind, axes, sigma=0.0, sigmas=(), mu=()):
         if kind not in KINDS:
             raise ValueError(f"unknown system kind {kind!r}")
-        axes = tuple(float(v) for v in np.asarray(axes, dtype=float))
+        ellipsoid = EllipsoidSpec(axes)
+        axes = ellipsoid.axes
         mu = tuple(float(v) for v in mu) if len(mu) else ()
         if mu and len(mu) != len(axes):
             raise DimensionError("mu must match the axes length")
@@ -120,17 +123,15 @@ class SystemSpec:
         object.__setattr__(self, "sigma", float(sigma))
         object.__setattr__(self, "sigmas", tuple(float(s) for s in sigmas))
         object.__setattr__(self, "mu", mu)
-        # read-only arrays built once; not dataclass fields, so __eq__ and
-        # __hash__ still compare the fields only
+        # the partition and read-only arrays, built once; not dataclass
+        # fields, so __eq__ and __hash__ still compare the fields only
+        object.__setattr__(self, "ellipsoid", ellipsoid)
         object.__setattr__(self, "a", _frozen_array(axes))
         object.__setattr__(self, "mu_arr", _frozen_array(mu or np.zeros(len(axes))))
 
     @property
     def constrained(self) -> bool:
         return self.kind in CONSTRAINED_KINDS
-
-    def ellipsoid(self) -> EllipsoidSpec:
-        return EllipsoidSpec(self.axes)
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +218,9 @@ class _Flow:
         self.a = [v for v in sys.axes for _ in (0, 1)] if self.cplx else list(sys.axes)
         self.a2 = [v * v for v in self.a]
         self.sig, self.sigmas = sys.sigma, sys.sigmas
+        if self.double:
+            # the side of the multiplier pole <A^-2 x, xi> = 0 the flow starts on
+            self.side = math.copysign(1.0, _wdot(s.x.tolist(), self.a2, s.xi.tolist()))
         self.accel = (self._double if self.double else
                       self._constrained if sys.constrained else self._free)
 
@@ -264,8 +268,8 @@ class _Flow:
     def _double(self, q: list, p: list) -> list:
         a, n, sig = self.a, self.n, self.sig
         den = _wdot(q[:n], self.a2, q[n:])
-        if abs(den) < 1e-14:
-            raise MultiplierSingularError("multiplier denominator vanished")
+        if den * self.side < 1e-14:
+            raise MultiplierSingularError("multiplier denominator vanished or changed sign")
         m = (_wdot(p[:n], a, p[n:]) - sig) / den
         return [-m * v / aj - sig * v for v, aj in zip(q, a + a)]
 
@@ -345,11 +349,8 @@ def rhs(sys: SystemSpec, s: PhaseState, ctol: float = DEFAULT_CTOL,
         return flow.unpack(p, flow.accel(q, p), 1.0)
 
 
-def rk4_step(sys: SystemSpec, s: PhaseState, h: float, ctol: float = DEFAULT_CTOL,
-             check: bool = False) -> PhaseState:
+def rk4_step(sys: SystemSpec, s: PhaseState, h: float) -> PhaseState:
     """One classical fourth-order step (no projection)."""
-    if check:
-        _check_state(sys, s, ctol)
     flow = _Flow(sys, s)
     with _singular_as_axis_error():
         return flow.unpack(*flow.step(*flow.pack(s), s.t, h))
@@ -370,7 +371,7 @@ def project(sys: SystemSpec, s: PhaseState, ctol: float = DEFAULT_CTOL) -> Phase
 
 
 def integrate(sys: SystemSpec, s0: PhaseState, T: float, h: float,
-              ctol: float = DEFAULT_CTOL, project_steps: bool = True) -> list[PhaseState]:
+              ctol: float = DEFAULT_CTOL) -> list[PhaseState]:
     """Trajectory of the flow from s0 over time T with fixed step h.
 
     Every stored state satisfies the constraints to ctol; the returned list
@@ -382,7 +383,7 @@ def integrate(sys: SystemSpec, s0: PhaseState, T: float, h: float,
     n = max(1, int(round(T / h)))
     h_eff = T / n  # land exactly on T
     flow = _Flow(sys, s0)
-    proj = project_steps and sys.constrained
+    proj = sys.constrained
     q, p = flow.pack(s0)
     t = s0.t
     out = [s0.copy()]
@@ -399,7 +400,7 @@ def integrate(sys: SystemSpec, s0: PhaseState, T: float, h: float,
 # torus reduction
 # ---------------------------------------------------------------------------
 
-def torus_reduce(z, p, tol: float = 1e-13):
+def torus_reduce(z, p):
     """Split complex phase coordinates into radial data and angular charges.
 
     Returns (x, y, mu, phases) with x_k = |z_k|, mu_k = Im(conj(z_k) p_k),
@@ -416,7 +417,7 @@ def torus_reduce(z, p, tol: float = 1e-13):
     phases = np.zeros(z.size)
     y = np.zeros(z.size)
     for k in range(z.size):
-        if x[k] <= tol * scale:
+        if x[k] <= 1e-13 * scale:
             if abs(mu[k]) > 1e-12:
                 raise ReductionSingularError(f"zero coordinate {k} carries charge {mu[k]}")
             phases[k] = np.angle(p[k]) if p[k] != 0 else 0.0
@@ -463,16 +464,16 @@ def dirac_tensor(axes, s: PhaseState) -> np.ndarray:
     return W
 
 
-def fd_gradient(func, s: PhaseState, rel: float = 1e-6) -> np.ndarray:
+def fd_gradient(func, s: PhaseState) -> np.ndarray:
     """Central-difference phase-space gradient of func(state).
 
-    Step per coordinate is rel * (1 + |coordinate|).  A scalar func gives
+    Step per coordinate is 1e-6 (1 + |coordinate|).  A scalar func gives
     shape (2(n+1),); a vector-valued one gives one row per coordinate.
     """
     rows = []
     for which in ("x", "y"):
         for i in range(s.x.size):
-            h = rel * (1.0 + abs(float(getattr(s, which)[i])))
+            h = 1e-6 * (1.0 + abs(float(getattr(s, which)[i])))
             sp, sm = s.copy(), s.copy()
             getattr(sp, which)[i] += h
             getattr(sm, which)[i] -= h
@@ -480,8 +481,7 @@ def fd_gradient(func, s: PhaseState, rel: float = 1e-6) -> np.ndarray:
     return np.array(rows)
 
 
-def dirac_bracket(axes, f, g, s: PhaseState, ctol: float = DEFAULT_CTOL,
-                  grad_f=None, grad_g=None) -> float:
+def dirac_bracket(axes, f, g, s: PhaseState, grad_f=None, grad_g=None) -> float:
     """Constrained Poisson bracket {f, g} of two scalar observables at a state.
 
     f and g are evaluators of a PhaseState; their gradients default to central
@@ -491,7 +491,7 @@ def dirac_bracket(axes, f, g, s: PhaseState, ctol: float = DEFAULT_CTOL,
     a = np.asarray(axes, dtype=float)
     res_x = abs((s.x / a) @ s.x - 1.0)
     res_y = abs((s.x / a) @ s.y)
-    if max(res_x, res_y) > ctol:
+    if max(res_x, res_y) > DEFAULT_CTOL:
         raise ConstraintError("state is off the constraint set")
     gf = grad_f if grad_f is not None else fd_gradient(f, s)
     gg = grad_g if grad_g is not None else fd_gradient(g, s)

@@ -226,26 +226,3 @@ def tangency_value(axes, x, y, eta: float, sigma: float = 0.0):
     qxy = pole_form(a, eta, x, y)
     return float((qxx + 1.0) * (qyy + sigma) - qxy * qxy)
 
-
-def projective_metric_eval(axes, w, X, sigma: float = 1.0) -> tuple[float, float]:
-    """Reduced kinetic metric and potential on the projectivized phase space.
-
-    For a representative w != 0 and tangent vector X the metric value is
-    (<w,Aw*><X,AX*> - <X,Aw*><w,AX*>) / (<w,Aw*><w,w*>) and the potential is
-    sigma <w,Aw*> / (2 <w,w*>); both are invariant under complex rescaling
-    of w (with X rescaled alongside) and under phase rotation.
-    """
-    a = _as_axes(axes)
-    w = np.asarray(w, dtype=complex)
-    X = np.asarray(X, dtype=complex)
-    if w.shape != a.shape or X.shape != a.shape:
-        raise DimensionError("w, X must match the axes length")
-    ww = float((w @ np.conj(w)).real)
-    if ww == 0.0:
-        raise ValueError("w must be nonzero")
-    wAw = float(((w * a) @ np.conj(w)).real)
-    XAX = float(((X * a) @ np.conj(X)).real)
-    XAw = (X * a) @ np.conj(w)
-    metric = (wAw * XAX - abs(XAw) ** 2) / (wAw * ww)
-    potential = sigma * wAw / (2.0 * ww)
-    return float(metric), float(potential)

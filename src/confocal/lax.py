@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
-    DEFAULT_CTOL,
     PhaseState,
     SystemSpec,
     _mu_over_x,
@@ -148,8 +147,7 @@ class LaxPairBig:
         return float(np.linalg.det(self.L(lam)))
 
 
-def build_lax(sys: SystemSpec, s: PhaseState, which: str = "small",
-              vtol: float = 1e-8):
+def build_lax(sys: SystemSpec, s: PhaseState, which: str = "small"):
     """Lax pair of the flow at a state; `which` selects 'small' or 'big'."""
     if which == "small":
         if sys.kind not in _SMALL_KINDS:
@@ -166,21 +164,21 @@ def build_lax(sys: SystemSpec, s: PhaseState, which: str = "small",
         x, y, xi, eta = s.x, s.y, s.xi, s.eta
     v1 = abs((x / a) @ eta)
     v2 = abs((y / a) @ xi)
-    if max(v1, v2) > vtol:
+    if max(v1, v2) > 1e-8:
         raise InvariantVarietyError(
             f"state violates the defining variety ({v1:.2e}, {v2:.2e})")
     return LaxPairBig(sys, x, y, xi, eta)
 
 
 def lax_defect(sys: SystemSpec, s: PhaseState, which: str, lam: float,
-               h: float = 1e-5, ctol: float = DEFAULT_CTOL) -> np.ndarray:
+               h: float = 1e-5) -> np.ndarray:
     """Matrix dL/dt minus the commutator, dL/dt by a central difference.
 
     The bracket ordering is [L, M] for the small pairs and [M*, L*] for the
     big one; the defect decays quadratically in h.
     """
-    sp = rk4_step(sys, s, h, ctol)
-    sm = rk4_step(sys, s, -h, ctol)
+    sp = rk4_step(sys, s, h)
+    sm = rk4_step(sys, s, -h)
     pair = build_lax(sys, s, which)
     pp = build_lax(sys, sp, which)
     pm = build_lax(sys, sm, which)
@@ -191,15 +189,15 @@ def lax_defect(sys: SystemSpec, s: PhaseState, which: str, lam: float,
 
 
 def lax_residual(sys: SystemSpec, s: PhaseState, which: str, lam: float,
-                 h: float = 1e-5, ctol: float = DEFAULT_CTOL) -> float:
+                 h: float = 1e-5) -> float:
     """Max-entry norm of the Richardson-extrapolated Lax defect.
 
     With D = `lax_defect`, (4 D(h/2) - D(h)) / 3 cancels the h^2 term of the
     central difference (Richardson, Phil. Trans. A 210, 1911), which leaves
     the identity's own residual plus O(h^4) and rounding.
     """
-    D = (4.0 * lax_defect(sys, s, which, lam, h / 2.0, ctol)
-         - lax_defect(sys, s, which, lam, h, ctol)) / 3.0
+    D = (4.0 * lax_defect(sys, s, which, lam, h / 2.0)
+         - lax_defect(sys, s, which, lam, h)) / 3.0
     return float(np.max(np.abs(D)))
 
 
@@ -290,7 +288,7 @@ class IntegralFamily:
 
 def integral_family(sys: SystemSpec, s: PhaseState) -> IntegralFamily:
     """All conserved families of the flow at a state."""
-    spec = EllipsoidSpec(sys.axes)
+    spec = sys.ellipsoid
     part = spec.partition
     alpha = spec.group_values
     a = sys.a
@@ -366,10 +364,10 @@ def spectral_expansion(sys: SystemSpec, s: PhaseState, lam: float) -> float:
 def clearing_exponents(sys: SystemSpec) -> np.ndarray:
     """Pole-clearing exponent per partition group: 2 when the group carries a
     charge or has size >= 2, else 1."""
-    spec = EllipsoidSpec(sys.axes)
+    part = sys.ellipsoid.partition
     mu = sys.mu_arr
-    out = np.empty(len(spec.partition), dtype=int)
-    for si, grp in enumerate(spec.partition):
+    out = np.empty(len(part), dtype=int)
+    for si, grp in enumerate(part):
         charged = any(mu[i] != 0 for i in grp)
         out[si] = 2 if (charged or len(grp) >= 2) else 1
     return out
@@ -402,8 +400,7 @@ def psi_poly(sys: SystemSpec, s: PhaseState) -> np.ndarray:
     deg + 1 points of `lambda_samples`: the midpoints between the distinct
     axes, then points beyond the extremes.
     """
-    spec = EllipsoidSpec(sys.axes)
-    alpha = spec.group_values
+    alpha = sys.ellipsoid.group_values
     delta = clearing_exponents(sys)
     deg = int(delta.sum()) + _poly_part_degree(sys)
     if deg < 0:
@@ -415,15 +412,14 @@ def psi_poly(sys: SystemSpec, s: PhaseState) -> np.ndarray:
     return np.linalg.solve(np.vander(pts, deg + 1), vals)
 
 
-def real_roots(coeffs, im_tol: float = 1e-7) -> np.ndarray:
+def real_roots(coeffs) -> np.ndarray:
     """Sorted real roots of a polynomial given by `psi_poly` coefficients."""
     c = np.trim_zeros(np.asarray(coeffs, dtype=float), "f")
     if c.size <= 1:
         return np.zeros(0)
     rts = np.roots(c)
     scale = max(1.0, float(np.max(np.abs(rts))))
-    out = np.sort(rts[np.abs(rts.imag) <= im_tol * scale].real)
-    return out
+    return np.sort(rts[np.abs(rts.imag) <= 1e-7 * scale].real)
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +461,7 @@ def gradient_ftilde(sys: SystemSpec, s: PhaseState, group_index: int) -> np.ndar
     """Analytic gradient of the per-group integral (jacobi / rosochatius kinds)."""
     if sys.kind not in ("jacobi", "jacobi_rosochatius", "free_jr"):
         raise ValueError("analytic gradients are provided for quadratic kinds only")
-    spec = EllipsoidSpec(sys.axes)
-    grp = spec.partition[group_index]
+    grp = sys.ellipsoid.partition[group_index]
     a = sys.a
     others = [j for j in range(a.size) if j not in grp]
     g = np.zeros(2 * a.size)
@@ -480,8 +475,7 @@ def gradient_ftilde(sys: SystemSpec, s: PhaseState, group_index: int) -> np.ndar
 def gradient_pair_sum(sys: SystemSpec, s: PhaseState, group_index: int,
                       members=None) -> np.ndarray:
     """Analytic gradient of a sum of in-group invariants (defaults to all)."""
-    spec = EllipsoidSpec(sys.axes)
-    grp = list(spec.partition[group_index]) if members is None else list(members)
+    grp = list(sys.ellipsoid.partition[group_index]) if members is None else list(members)
     g = np.zeros(2 * sys.a.size)
     for ii, i in enumerate(grp):
         for j in grp[ii + 1:]:
@@ -596,7 +590,7 @@ def _tag_name(tag: tuple) -> str:
     return repr(tag)
 
 
-def commutation_suite(sys: SystemSpec, s: PhaseState, pairs=None,
+def commutation_suite(sys: SystemSpec, s: PhaseState,
                       tol: float = 1e-6) -> list[CheckRecord]:
     """Constrained brackets of the vanishing pairs at one state.
 
@@ -604,9 +598,7 @@ def commutation_suite(sys: SystemSpec, s: PhaseState, pairs=None,
     of the `integral_family` entries.  Returns one record per pair with the
     absolute bracket value.
     """
-    spec = EllipsoidSpec(sys.axes)
-    if pairs is None:
-        pairs = commuting_pairs(spec)
+    pairs = commuting_pairs(sys.ellipsoid)
     tags = sorted({t for pr in pairs for t in pr}, key=repr)
 
     def values(st):
@@ -621,8 +613,7 @@ def commutation_suite(sys: SystemSpec, s: PhaseState, pairs=None,
     return out
 
 
-def gradient_rank_report(sys: SystemSpec, s: PhaseState,
-                         threshold: float = 1e-7) -> dict:
+def gradient_rank_report(sys: SystemSpec, s: PhaseState) -> dict:
     """Numeric ranks of the spans of the two conserved families' vector fields.
 
     The rows are the constrained Hamiltonian vector fields (Dirac tensor
@@ -632,7 +623,7 @@ def gradient_rank_report(sys: SystemSpec, s: PhaseState,
     {ftilde_s, P_{s,ij}} has dimension 2n - r - rho and the span of
     {ftilde_s, P_s} has dimension r + rho at generic states.
     """
-    spec = EllipsoidSpec(sys.axes)
+    spec = sys.ellipsoid
     part = spec.partition
     r = len(part) - 1
     rho = sum(1 for g in part if len(g) >= 2)
@@ -650,7 +641,7 @@ def gradient_rank_report(sys: SystemSpec, s: PhaseState,
 
     def rank(rows):
         sv = np.linalg.svd(np.array(rows), compute_uv=False)
-        return int(np.count_nonzero(sv > threshold * sv[0]))
+        return int(np.count_nonzero(sv > 1e-7 * sv[0]))
 
     return {
         "rank_full_family": rank(rows_F),

@@ -139,7 +139,7 @@ def _fd2_mixed(func, x: np.ndarray, i: int, j: int, hi: float, hj: float):
     return tot / (hi * hj)
 
 
-def bd_residual(axes, V, x, h: float = 5e-4) -> np.ndarray:
+def bd_residual(axes, V, x) -> np.ndarray:
     """Second-order separability residuals of a potential at x, one row per
     index pair i < j in row-major order: (0,1), (0,2), (1,2) for three axes.
 
@@ -155,13 +155,14 @@ def bd_residual(axes, V, x, h: float = 5e-4) -> np.ndarray:
     The residuals vanish for the polynomial and inverse-power bases separable
     in the confocal coordinates of the axes; the rotational operator's
     orientation is fixed by that family, as the opposite sign annihilates
-    only the degree-2 member.  Steps scale with each coordinate, which keeps
-    the stencil accurate near the inverse-power singularities.
+    only the degree-2 member.  The step in coordinate k is
+    5e-4 (0.25 + |x_k|): scaling with each coordinate keeps the stencil
+    accurate near the inverse-power singularities.
     """
     a = np.asarray(axes, dtype=float)
     x = np.asarray(x, dtype=float)
     n1 = a.size
-    hs = h * (0.25 + np.abs(x))
+    hs = 5e-4 * (0.25 + np.abs(x))
     d1 = [_fd1(V, x, k, hs[k]) for k in range(n1)]
     # d2[k][l] and d2[l][k] sum the same points in different orders
     d2 = [[_fd2_diag(V, x, k, hs[k]) if k == l

@@ -93,10 +93,9 @@ def _random_double(sys: SystemSpec, rng, y_scale: float, invariant: bool) -> Pha
             return PhaseState(x, y, 0.0, xi, eta)
 
 
-def random_double_invariant_state(sys: SystemSpec, seed_or_rng=0,
-                                  y_scale: float = 1.0) -> PhaseState:
+def random_double_invariant_state(sys: SystemSpec, seed_or_rng=0) -> PhaseState:
     """Double-flow state on the variety where the large Lax pair is defined."""
-    return _random_double(sys, _rng(seed_or_rng), y_scale, invariant=True)
+    return _random_double(sys, _rng(seed_or_rng), 1.0, invariant=True)
 
 
 def random_impact_state(axes, sigma: float, mu, seed_or_rng=0, speed: float = 1.0):

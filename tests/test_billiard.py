@@ -22,7 +22,7 @@ from confocal.billiard import (
     tangent_state,
 )
 from confocal import suites
-from confocal.dynamics import SystemSpec, integrate, PhaseState
+from confocal.dynamics import SystemSpec, energy, integrate, PhaseState
 from confocal.errors import (
     DimensionError,
     EscapeError,
@@ -238,9 +238,8 @@ class TestOracleStep:
         s = ImpactState(x, y)
         so = oracle_step(spec, s)
         # energy is conserved in flight and by the reflection
-        from confocal.billiard import energy as benergy
-
-        assert abs(benergy(spec, so.x, so.y) - benergy(spec, s.x, s.y)) < 1e-9
+        assert abs(energy(spec, PhaseState(so.x, so.y))
+                   - energy(spec, PhaseState(s.x, s.y))) < 1e-9
         assert impact_invariant(spec, so) < 0.0  # outgoing again
 
     def test_time_budget_exhaustion(self):
@@ -335,6 +334,16 @@ class TestOracleKernel:
             assert not arr.flags.writeable
         same = BilliardSpec([2.0, 1.0, 0.6], sigma=0.3, mu=[0.0, 0.25, 0.0])
         assert same == spec and hash(same) == hash(spec)
+
+    def test_spec_is_the_free_jr_system(self):
+        spec = BilliardSpec((2.0, 1.0, 0.6), sigma=0.3)
+        assert isinstance(spec, SystemSpec) and spec.kind == "free_jr"
+        assert spec.mu == (0.0, 0.0, 0.0) and spec.dim == 3
+        flow = SystemSpec("free_jr", (2.0, 1.0, 0.6), sigma=0.3, mu=(0.0, 0.0, 0.0))
+        assert [getattr(spec, f) for f in ("axes", "sigma", "sigmas", "mu")] == \
+            [getattr(flow, f) for f in ("axes", "sigma", "sigmas", "mu")]
+        with pytest.raises(ValueError, match="positive"):
+            BilliardSpec((2.0, -1.0))
 
     def test_charged_coordinate_on_its_axis_raises_singular_axis(self):
         spec = BilliardSpec((2.0, 1.0), sigma=0.3, mu=(0.0, 0.25))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from confocal.dynamics import (
+    KINDS,
     PhaseState,
     SystemSpec,
     constraint_residuals,
@@ -18,10 +19,12 @@ from confocal.dynamics import (
 )
 from confocal.errors import (
     ConstraintError,
+    MultiplierSingularError,
     ReductionSingularError,
     SingularAxisError,
 )
-from confocal.lax import integral_family
+from confocal.geometry import EllipsoidSpec
+from confocal.lax import commutation_suite, integral_family, psi_poly
 from confocal.potentials import hierarchy_eval
 from confocal.sampling import random_state
 
@@ -177,6 +180,31 @@ class TestRightHandSides:
         same = SystemSpec("jacobi_rosochatius", tuple(AXES), sigma=0.4, mu=(0.2, 0.0, 0.3))
         assert same == sys and hash(same) == hash(sys)
 
+    def test_spec_builds_its_partition_once(self, monkeypatch):
+        sys = SystemSpec("jacobi_rosochatius", (1.3, 1.3, 2.9, 2.9), sigma=0.3,
+                         mu=(0.3, 0.2, 0.25, 0.15))
+        assert sys.ellipsoid is sys.ellipsoid
+        assert sys.ellipsoid == EllipsoidSpec(sys.axes)
+        assert sys.ellipsoid.partition == ((0, 1), (2, 3))
+        s = random_state(sys, 0)
+        calls = []
+        init = EllipsoidSpec.__init__
+
+        def counted(self, axes):
+            calls.append(axes)
+            init(self, axes)
+
+        monkeypatch.setattr(EllipsoidSpec, "__init__", counted)
+        integral_family(sys, s)
+        psi_poly(sys, s)
+        commutation_suite(sys, s)
+        assert calls == []
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_kind_rejects_nonpositive_axes(self, kind):
+        with pytest.raises(ValueError, match="positive"):
+            SystemSpec(kind, (1.0, 0.0, 2.0), sigmas=(1.0,))
+
     def test_paired_flow_duplicates_on_the_diagonal(self):
         sysj = SystemSpec("jacobi", AXES, sigma=0.4)
         sysd = SystemSpec("double_jacobi", AXES, sigma=0.4)
@@ -237,9 +265,12 @@ class TestIntegrate:
         s0 = random_state(sys, 4)
 
         def drift(h):
-            traj = integrate(sys, s0, 1.0, h, project_steps=False)
-            H0 = energy(sys, s0)
-            return max(abs(energy(sys, s) - H0) for s in traj)
+            # unprojected steps: the projection would mask the truncation error
+            H0, s, worst = energy(sys, s0), s0, 0.0
+            for _ in range(round(1.0 / h)):
+                s = rk4_step(sys, s, h)
+                worst = max(worst, abs(energy(sys, s) - H0))
+            return worst
 
         r = drift(2e-3) / drift(1e-3)
         assert 10.0 < r < 26.0
@@ -261,11 +292,17 @@ class TestIntegrate:
         fT = integral_family(sys, traj[-1]).f
         np.testing.assert_allclose(fT, f0, atol=1e-9)
 
+    def test_double_flow_stops_at_its_multiplier_pole(self):
+        # <A^-2 x, xi> goes from 0.45 to below zero near t = 0.85; no stage
+        # lands within 1e-14 of zero, so only the change of sign shows it
+        sys = SystemSpec("double_jacobi", AXES, sigma=0.3)
+        with pytest.raises(MultiplierSingularError):
+            integrate(sys, random_state(sys, 0, y_scale=0.5), 1.0, 1e-3)
+
 
 class TestFloatKernel:
-    # seeds 1 and 2: at seed 0 the double flow crosses its multiplier pole
-    # <A^-2 x, xi> = 0 near t = 0.85, where a one-ulp change of the initial
-    # momentum alone moves the array form's own trajectory by 3e-11
+    # seeds 1 and 2: at seed 0 the double flow reaches its multiplier pole
+    # <A^-2 x, xi> = 0 near t = 0.85 and stops there
     @pytest.mark.parametrize("seed", [1, 2])
     @pytest.mark.parametrize("sys", KIND_SPECS, ids=lambda s: s.kind)
     def test_integrate_matches_the_array_form(self, sys, seed):

@@ -13,7 +13,6 @@ from confocal.geometry import (
     EllipticCoords,
     coords_from_elliptic,
     elliptic_coords,
-    projective_metric_eval,
     tangency_value,
 )
 
@@ -208,43 +207,6 @@ class TestTangencyValue:
     def test_pole_rejected(self):
         with pytest.raises(PoleError):
             tangency_value([2.0, 1.0], [1.0, 0.0], [0.0, 1.0], 1.0 + 1e-15)
-
-
-class TestProjectiveMetric:
-    def test_vertical_direction_gives_zero(self):
-        axes = [1.0, 2.0, 3.0]
-        w = np.array([1.0 + 2.0j, -0.5j, 0.7])
-        m, _ = projective_metric_eval(axes, w, (0.3 - 1.1j) * w)
-        assert abs(m) < 1e-14
-
-    def test_invariance_under_rescaling(self):
-        axes = [1.0, 2.0, 3.0]
-        rng = np.random.default_rng(2)
-        w = rng.normal(size=3) + 1j * rng.normal(size=3)
-        X = rng.normal(size=3) + 1j * rng.normal(size=3)
-        m0, v0 = projective_metric_eval(axes, w, X, sigma=0.7)
-        for s in (2.0, -0.3 + 1.9j, np.exp(0.4j)):
-            m1, v1 = projective_metric_eval(axes, s * w, s * X, sigma=0.7)
-            np.testing.assert_allclose((m1, v1), (m0, v0), rtol=1e-12)
-
-    def test_identity_matrix_reduces_to_fubini_study(self):
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            w = rng.normal(size=3) + 1j * rng.normal(size=3)
-            X = rng.normal(size=3) + 1j * rng.normal(size=3)
-            m, _ = projective_metric_eval([1.0, 1.0, 1.0], w, X)
-            ww = (w @ np.conj(w)).real
-            fs = ((ww * (X @ np.conj(X)).real - abs(X @ np.conj(w)) ** 2)
-                  / ww**2)
-            np.testing.assert_allclose(m, fs, rtol=1e-12)
-
-    def test_nonnegative_for_positive_axes(self):
-        rng = np.random.default_rng(13)
-        for _ in range(200):
-            w = rng.normal(size=4) + 1j * rng.normal(size=4)
-            X = rng.normal(size=4) + 1j * rng.normal(size=4)
-            m, _ = projective_metric_eval([0.5, 1.0, 2.0, 5.0], w, X)
-            assert m >= -1e-12
 
 
 def test_tangency_far_parameter_asymptote():

@@ -336,7 +336,7 @@ class TestCommutation:
     def test_three_two_partition_exercises_in_group_relations(self):
         sys = SystemSpec("jacobi_rosochatius", (1.5, 1.5, 1.5, 2.8, 2.8),
                          sigma=0.2, mu=(0.2, 0.1, 0.15, 0.25, 0.3))
-        pairs = commuting_pairs(sys.ellipsoid())
+        pairs = commuting_pairs(sys.ellipsoid)
         kinds = {p[0][0] for p in pairs} | {p[1][0] for p in pairs}
         assert "Psum" in kinds and "Lchain" in kinds
         rng = np.random.default_rng(21)
@@ -351,7 +351,7 @@ class TestCommutation:
         sys = SystemSpec("jacobi_rosochatius", (1.3, 1.3, 2.9, 2.9), sigma=0.3,
                          mu=(0.3, 0.2, 0.25, 0.15))
         s = random_state(sys, 22)
-        part = sys.ellipsoid().partition
+        part = sys.ellipsoid.partition
         fam = integral_family(sys, s)
 
         def entries(st):
