@@ -28,7 +28,7 @@ from .config import (
     load_config,
     system_from_config,
 )
-from .dynamics import constraint_residuals, energy, integrate
+from .dynamics import PhaseState, constraint_residuals, energy, integrate
 from .errors import (
     ConfigError,
     ConfocalError,
@@ -75,37 +75,61 @@ class RunReport:
         }
 
 
-def _write_table(path: Path, header: list[str], rows: list[list[float]],
-                 as_json: bool) -> None:
+def _write_table(path: Path, header: list[str], rows, as_json: bool) -> None:
+    """Write rows of floats (lists, or the rows of a 2-d array) as CSV or JSON."""
     if as_json:
         payload = {"columns": header,
                    "rows": [[fmt(v) for v in row] for row in rows]}
         dump_json(payload, path.with_suffix(".json"))
     else:
-        lines = [",".join(header)]
-        lines.extend(",".join(fmt(v) for v in row) for row in rows)
-        path.with_suffix(".csv").write_text("\n".join(lines) + "\n")
+        with path.with_suffix(".csv").open("w") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(map(fmt, row)) + "\n")
 
 
-def _state_columns(sys, s) -> tuple[list[str], list[float]]:
-    names: list[str] = []
-    vals: list[float] = []
-    if np.iscomplexobj(s.x):
-        for tag, arr in (("x", s.x), ("y", s.y)):
-            for i, v in enumerate(arr):
-                names += [f"{tag}{i}_re", f"{tag}{i}_im"]
-                vals += [float(v.real), float(v.imag)]
-    else:
-        for tag, arr in (("x", s.x), ("y", s.y)):
-            for i, v in enumerate(arr):
-                names.append(f"{tag}{i}")
-                vals.append(float(v))
-        if s.xi is not None:
-            for tag, arr in (("xi", s.xi), ("eta", s.eta)):
-                for i, v in enumerate(arr):
-                    names.append(f"{tag}{i}")
-                    vals.append(float(v))
-    return names, vals
+def _stack(traj: list[PhaseState]) -> PhaseState:
+    """A trajectory as one state whose arrays carry a leading time axis."""
+    s0 = traj[0]
+    return PhaseState(*(None if getattr(s0, k) is None
+                        else np.array([getattr(s, k) for s in traj])
+                        for k in ("x", "y", "t", "xi", "eta")))
+
+
+def _diagnostics(sys, traj: PhaseState):
+    """The table of a stacked trajectory, its header and its three drifts.
+
+    Columns: t, the state coordinates (Re and Im parts of complex ones), the
+    constraint residuals F1.., H and the integrals f (f-tilde when axes
+    repeat).  Each drift is the largest over the rows, NaN if any row is.
+    """
+    header, cols = ["t"], [traj.t[:, None]]
+    cplx = np.iscomplexobj(traj.x)
+    for tag in ("x", "y", "xi", "eta"):
+        arr = getattr(traj, tag)
+        if arr is None:
+            continue
+        n = arr.shape[-1]
+        if cplx:
+            header += [f"{tag}{i}_{part}" for i in range(n) for part in ("re", "im")]
+            cols.append(arr.view(float))
+        else:
+            header += [f"{tag}{i}" for i in range(n)]
+            cols.append(arr)
+    res = constraint_residuals(sys, traj)
+    H = energy(sys, traj)
+    header += [f"F{i+1}" for i in range(res.shape[-1])] + ["H"]
+    cols += [res, H[:, None]]
+    dH = float(np.max(np.abs(H - H[0]) / max(abs(H[0]), 1e-3)))
+    dC = float(np.max(np.abs(res))) if res.size else 0.0
+    dF = 0.0
+    if sys.kind != "free_oscillator":
+        fam = lx.integral_family(sys, traj)
+        F = fam.f if fam.f is not None else fam.ftilde
+        header += [f"f{i}" for i in range(F.shape[-1])]
+        cols.append(F)
+        dF = float(np.max(np.abs(F - F[0]) / np.maximum(np.abs(F[0]), 1e-3)))
+    return header, np.concatenate(cols, axis=-1), (dH, dF, dC)
 
 
 def cmd_simulate(cfg: dict, seed: int, out_dir: Path, as_json: bool) -> int:
@@ -119,35 +143,11 @@ def cmd_simulate(cfg: dict, seed: int, out_dir: Path, as_json: bool) -> int:
     summary_runs = []
     worst = 0.0
     for run_idx, s0 in enumerate(states):
-        traj = integrate(sys_, s0, T, h, ctol)
-        fam0 = lx.integral_family(sys_, s0) if sys_.kind != "free_oscillator" else None
-        f0 = None
-        if fam0 is not None:
-            f0 = fam0.f if fam0.f is not None else fam0.ftilde
-        H0 = energy(sys_, s0)
-        header = None
-        rows = []
-        dH = dF = dC = 0.0
-        for s in traj:
-            cols, vals = _state_columns(sys_, s)
-            res = constraint_residuals(sys_, s)
-            hval = energy(sys_, s)
-            fvals = []
-            if fam0 is not None:
-                fam = lx.integral_family(sys_, s)
-                fv = fam.f if fam.f is not None else fam.ftilde
-                fvals = [float(v) for v in fv]
-                dF = float(np.max([dF] + [abs(v - v0) / max(abs(v0), 1e-3)
-                                          for v, v0 in zip(fv, f0)]))
-            if header is None:
-                header = (["t"] + cols + [f"F{i+1}" for i in range(res.size)]
-                          + ["H"] + [f"f{i}" for i in range(len(fvals))])
-            rows.append([s.t] + vals + [float(r) for r in res] + [hval] + fvals)
-            dH = float(np.maximum(dH, abs(hval - H0) / max(abs(H0), 1e-3)))
-            if res.size:
-                dC = float(np.maximum(dC, np.max(np.abs(res))))
-        _write_table(out_dir / f"trajectory_{run_idx}", header, rows, as_json)
-        d0 = np.max(np.abs(traj[-1].x - traj[0].x)) + np.max(np.abs(traj[-1].y - traj[0].y))
+        # the list of states is dropped once stacked
+        traj = _stack(integrate(sys_, s0, T, h, ctol))
+        header, table, (dH, dF, dC) = _diagnostics(sys_, traj)
+        _write_table(out_dir / f"trajectory_{run_idx}", header, table, as_json)
+        d0 = np.max(np.abs(traj.x[-1] - traj.x[0])) + np.max(np.abs(traj.y[-1] - traj.y[0]))
         summary_runs.append({
             "run": run_idx,
             "energy_drift": fmt(dH),

@@ -32,6 +32,12 @@ coordinates, (((s + h/6 k1) + 2h/6 k2) + 2h/6 k3) + h/6 k4), so results
 move only in the last bits.  Float division by zero and an overflowing cube
 raise SingularAxisError where numpy returned inf.  The double flow raises
 MultiplierSingularError once <A^-2 x, xi> leaves the side it started on.
+
+`constraint_residuals` and `energy` broadcast over a leading axis of the
+state's arrays (a stack of states, one per row); each row equals the call on
+that row's state bit for bit.  The kernel functions take one state.  A state
+whose constraint residuals are not finite fails the guards of `rhs` and
+`integrate` (ConstraintError) and of `project` (ProjectionError).
 """
 
 from __future__ import annotations
@@ -64,7 +70,11 @@ DEFAULT_CTOL = 1e-9
 
 @dataclass
 class PhaseState:
-    """Position/momentum pair; the double flow carries a second pair (xi, eta)."""
+    """Position/momentum pair; the double flow carries a second pair (xi, eta).
+
+    The arrays (and t) may carry a leading axis, one row per state: a stacked
+    trajectory, for the functions that broadcast over it.
+    """
 
     x: np.ndarray
     y: np.ndarray
@@ -139,40 +149,50 @@ class SystemSpec:
 # ---------------------------------------------------------------------------
 
 def _pair(u: np.ndarray, v: np.ndarray):
-    """Re <u, conj(v)>: the dot product on real arrays, whose conj() is a no-op."""
-    return (u @ v.conj()).real
+    """Re <u, conj(v)> over the last axis: the dot product on real arrays.
+
+    vecdot(v, u) sums conj(v) u; each row of a stack equals the 1-d
+    `u @ v.conj()` of that row bit for bit (tests/test_cli.py compares the
+    stacked and per-state paths of `simulate` byte for byte).
+    """
+    return np.vecdot(v, u).real
 
 
 def constraint_residuals(sys: SystemSpec, s: PhaseState) -> np.ndarray:
-    """Residuals of the defining constraints; empty for free-space kinds."""
+    """Residuals of the defining constraints; empty for free-space kinds.
+
+    Broadcasts over a leading axis of the state's arrays (one row per state).
+    """
     a = sys.a
     if sys.kind == "double_jacobi":
-        g1 = (s.x / a) @ s.xi - 1.0
-        g2 = (s.y / a) @ s.xi + (s.x / a) @ s.eta
-        return np.array([g1, g2])
+        g1 = np.vecdot(s.x / a, s.xi) - 1.0
+        g2 = np.vecdot(s.y / a, s.xi) + np.vecdot(s.x / a, s.eta)
+        return np.stack([g1, g2], axis=-1)
     if sys.constrained:
-        return np.array([_pair(s.x / a, s.x) - 1.0, _pair(s.x / a, s.y)])
-    return np.zeros(0)
+        return np.stack([_pair(s.x / a, s.x) - 1.0, _pair(s.x / a, s.y)], axis=-1)
+    return np.zeros(s.x.shape[:-1] + (0,))
 
 
-def energy(sys: SystemSpec, s: PhaseState) -> float:
-    """Hamiltonian of the flow at a state."""
+def energy(sys: SystemSpec, s: PhaseState) -> float | np.ndarray:
+    """Hamiltonian of the flow at a state: a float, or one per row of a
+    state whose arrays carry a leading axis."""
     if sys.kind == "double_jacobi":
-        return float(s.y @ s.eta + sys.sigma * (s.x @ s.xi))
+        return np.vecdot(s.y, s.eta) + sys.sigma * np.vecdot(s.x, s.xi)
     mu = sys.mu_arr
-    kin = 0.5 * float(_pair(s.y, s.y))
+    kin = 0.5 * _pair(s.y, s.y)
     if sys.kind == "separable_hierarchy":
         return kin + hierarchy_potential(sys.a, s.x, sys.sigmas, mu)
-    pot = 0.5 * sys.sigma * float(_pair(s.x, s.x))
+    pot = 0.5 * sys.sigma * _pair(s.x, s.x)
     nz = mu != 0
     if nz.any():
-        pot += 0.5 * float((mu[nz] ** 2 / s.x[nz] ** 2).sum())
+        pot = pot + 0.5 * (mu[nz] ** 2 / s.x[..., nz] ** 2).sum(axis=-1)
     return kin + pot
 
 
 def _check_state(sys: SystemSpec, s: PhaseState, ctol: float) -> None:
     res = constraint_residuals(sys, s)
-    if res.size and np.max(np.abs(res)) > ctol:
+    # written so that a NaN residual fails it
+    if res.size and not np.max(np.abs(res)) <= ctol:
         raise ConstraintError(f"constraint residuals {res} exceed ctol={ctol}")
     if any(sys.mu) and np.any(np.abs(s.x[sys.mu_arr != 0]) < 1e-9):
         raise SingularAxisError("coordinate with nonzero charge too close to zero")
@@ -180,9 +200,9 @@ def _check_state(sys: SystemSpec, s: PhaseState, ctol: float) -> None:
 
 def _mu_over_x(sys: SystemSpec, x: np.ndarray) -> np.ndarray:
     mu = sys.mu_arr
-    out = np.zeros_like(mu)
+    out = np.zeros(x.shape)
     nz = mu != 0
-    out[nz] = mu[nz] / x[nz]
+    out[..., nz] = mu[nz] / x[..., nz]
     return out
 
 
@@ -320,7 +340,7 @@ class _Flow:
             c = -_wdot(q, a, p) / _wdot(q, a2, q)
             p = [v + c * u / aj for u, v, aj in zip(q, p, a)]
             res = (_wdot(q, a, q) - 1.0, _wdot(q, a, p))
-        if abs(res[0]) > ctol or abs(res[1]) > ctol:
+        if not (abs(res[0]) <= ctol and abs(res[1]) <= ctol):  # NaN fails too
             raise ProjectionError(f"projection left residuals {np.array(res)} above ctol={ctol}")
         return q, p
 
@@ -356,18 +376,19 @@ def rk4_step(sys: SystemSpec, s: PhaseState, h: float) -> PhaseState:
         return flow.unpack(*flow.step(*flow.pack(s), s.t, h))
 
 
-def project(sys: SystemSpec, s: PhaseState, ctol: float = DEFAULT_CTOL) -> PhaseState:
+def project(sys: SystemSpec, s: PhaseState) -> PhaseState:
     """Pull a nearby state back onto the constraint set.
 
     Positions are corrected along A^-1 x (Newton on the quadratic constraint);
     momenta are then shifted along A^-1 x, which solves the linear constraint
-    exactly.  Raises if the residuals still exceed ctol.
+    exactly.  Raises ProjectionError if the residuals still exceed
+    DEFAULT_CTOL or are not finite.
     """
     if not sys.constrained:
         return s
     flow = _Flow(sys, s)
     with _singular_as_axis_error():
-        return flow.unpack(*flow.project(*flow.pack(s), ctol), s.t)
+        return flow.unpack(*flow.project(*flow.pack(s), DEFAULT_CTOL), s.t)
 
 
 def integrate(sys: SystemSpec, s0: PhaseState, T: float, h: float,

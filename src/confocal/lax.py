@@ -10,6 +10,10 @@ whose real zeros are the parameters of the caustic quadrics.
 
 Matrices are never stored as coefficient tables: a pair object keeps the
 state data and evaluates entries at a requested parameter value.
+
+`integral_family` broadcasts over a leading axis of the state's arrays (a
+stack of states, one per row), each row equal bit for bit to the call on
+that row's state; the pairs, determinants and reports take one state.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .dynamics import (
     PhaseState,
     SystemSpec,
     _mu_over_x,
+    _pair,
     dirac_bracket,
     dirac_tensor,
     fd_gradient,
@@ -205,19 +210,25 @@ def lax_residual(sys: SystemSpec, s: PhaseState, which: str, lam: float,
 # integral families
 # ---------------------------------------------------------------------------
 
+def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """np.outer(u, v) over the last axis, broadcast over leading ones."""
+    return u[..., :, None] * v[..., None, :]
+
+
 def _pair_table(sys: SystemSpec, s: PhaseState) -> np.ndarray:
     """Symmetric table P[i, j] of the pairwise invariants entering the f_i."""
     x, y = s.x, s.y
-    phi = np.outer(y, x) - np.outer(x, y)
+    phi = _outer(y, x) - _outer(x, y)
     if sys.kind == "double_jacobi":
-        return phi * (np.outer(s.eta, s.xi) - np.outer(s.xi, s.eta))
+        return phi * (_outer(s.eta, s.xi) - _outer(s.xi, s.eta))
     # |phi|^2 is phi * phi bit for bit on real arrays
     P = np.abs(phi) ** 2
     if any(sys.mu):
         w = _mu_over_x(sys, x)
         # mu_i^2 x_j^2 / x_i^2 + mu_j^2 x_i^2 / x_j^2, symmetric
-        P = P + np.outer(w**2, x**2) + np.outer(x**2, w**2)
-        np.fill_diagonal(P, 0.0)
+        P = P + _outer(w**2, x**2) + _outer(x**2, w**2)
+        diag = np.arange(sys.a.size)
+        P[..., diag, diag] = 0.0
     return P
 
 
@@ -236,7 +247,7 @@ def _local_parts(sys: SystemSpec, s: PhaseState) -> np.ndarray:
     nz = mu != 0
     if nz.any():
         add = np.zeros_like(out)
-        add[nz] = mu[nz] ** 2 / s.x[nz] ** 2
+        add[..., nz] = mu[nz] ** 2 / s.x[..., nz] ** 2
         out = out + add
     return out
 
@@ -269,7 +280,8 @@ class IntegralFamily:
     `g` carries the bilinear integrals of the paired flow, `charges` the
     angular momenta and `J` the scaled spectral integral of the complex flow.
     `relation_residual` is the difference of the two sides of the pole-sum
-    identity tying ftilde, P and the charges together.
+    identity tying ftilde, P and the charges together.  For a stack of
+    states every entry carries the stack's leading axis.
     """
 
     partition: tuple[tuple[int, ...], ...]
@@ -287,43 +299,51 @@ class IntegralFamily:
 
 
 def integral_family(sys: SystemSpec, s: PhaseState) -> IntegralFamily:
-    """All conserved families of the flow at a state."""
+    """All conserved families of the flow at a state.
+
+    Broadcasts over a leading axis of the state's arrays (a stack of states,
+    one per row); each row equals the call on that row's state bit for bit,
+    since every sum runs in the same order: f_i = l_i + ((0 + t_i0) + t_i1)
+    ... over j != i, and ftilde_s = ((sum of l over the group) + t_ij) + ...
+    with t_ij = P_ij / (a_i - a_j).
+    """
     spec = sys.ellipsoid
     part = spec.partition
     alpha = spec.group_values
     a = sys.a
     P_tab = _pair_table(sys, s)
     loc = _local_parts(sys, s)
+    lead = loc.shape[:-1]
     r1 = len(part)
-    ftilde = np.empty(r1)
-    P = np.zeros(r1)
+    ftilde = np.empty(lead + (r1,))
+    P = np.zeros(lead + (r1,))
     P_pairs: dict = {}
     L_chain: dict = {}
     for si, grp in enumerate(part):
         grp = list(grp)
         others = [j for j in range(a.size) if j not in grp]
-        val = float(np.real(loc[grp].sum()))
+        val = loc[..., grp].sum(axis=-1)
         for i in grp:
             for j in others:
-                val += float(np.real(P_tab[i, j])) / (a[i] - a[j])
-        ftilde[si] = val
+                val = val + P_tab[..., i, j] / (a[i] - a[j])
+        ftilde[..., si] = val
         for ii, i in enumerate(grp):
             for j in grp[ii + 1:]:
-                P_pairs[(si, i, j)] = float(np.real(P_tab[i, j]))
+                P_pairs[(si, i, j)] = P_tab[..., i, j]
         if len(grp) >= 2:
-            P[si] = sum(P_pairs[(si, i, j)] for ii, i in enumerate(grp)
-                        for j in grp[ii + 1:])
+            P[..., si] = sum(P_pairs[(si, i, j)] for ii, i in enumerate(grp)
+                             for j in grp[ii + 1:])
             for k in range(1, len(grp)):
                 sub = grp[:k + 1]
                 L_chain[(si, k)] = sum(P_pairs[(si, i, j)]
                                        for ii, i in enumerate(sub) for j in sub[ii + 1:])
     f = None
     if not spec.is_symmetric:
-        f = np.array([float(np.real(loc[i]))
-                      + sum(float(np.real(P_tab[i, j])) / (a[i] - a[j])
-                            for j in range(a.size) if j != i)
-                      for i in range(a.size)])
-    H = 0.5 * float(ftilde.sum())
+        f = np.empty(loc.shape)
+        for i in range(a.size):
+            f[..., i] = loc[..., i] + sum(P_tab[..., i, j] / (a[i] - a[j])
+                                          for j in range(a.size) if j != i)
+    H = 0.5 * ftilde.sum(axis=-1)
     g = None
     charges = None
     J = None
@@ -332,12 +352,12 @@ def integral_family(sys: SystemSpec, s: PhaseState) -> IntegralFamily:
         g = s.y * s.xi - s.x * s.eta
     if sys.kind == "complex_jacobi":
         charges = (np.conj(s.x) * s.y).imag
-        J = float((((s.y / a) @ np.conj(s.y)).real - sys.sigma)
-                  * ((s.x / a**2) @ np.conj(s.x)).real)
+        J = (_pair(s.y / a, s.y) - sys.sigma) * _pair(s.x / a**2, s.x)
     if sys.constrained and sys.kind not in ("double_jacobi", "complex_jacobi"):
         mu = sys.mu_arr
-        lhs = float((ftilde / alpha).sum())
-        rhs = _poly_part(sys, 0.0) + float((P / alpha**2).sum()) + float((mu**2 / a**2).sum())
+        lhs = (ftilde / alpha).sum(axis=-1)
+        rhs = (_poly_part(sys, 0.0) + (P / alpha**2).sum(axis=-1)
+               + float((mu**2 / a**2).sum()))
         rel = lhs - rhs
     return IntegralFamily(part, alpha, H, f, ftilde, P, P_pairs, L_chain,
                           g, charges, J, rel)

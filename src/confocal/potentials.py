@@ -24,7 +24,8 @@ class HierarchyTables:
     """Values V^(1..m), per-axis shares F_i^(k), and the gradients of V^(k).
 
     F[k-1] is the length-(n+1) array of F_i^(k) and gradV[k-1] the
-    x-gradient of V^(k).
+    x-gradient of V^(k); for a stack of points each entry carries its
+    leading axis.
     """
 
     V: list[float]
@@ -33,15 +34,24 @@ class HierarchyTables:
 
 
 def hierarchy_eval(axes, x, m: int) -> HierarchyTables:
-    """Fill the recurrence tables up to level m (m >= 1)."""
+    """Fill the recurrence tables up to level m (m >= 1).
+
+    Broadcasts over a leading axis of x (one row per point): the columns then
+    run through the same float recurrence as arrays, elementwise, so each row
+    of the tables equals the call on that row.
+    """
     a = np.asarray(axes, dtype=float)
     x = np.asarray(x, dtype=float)
-    if x.shape != a.shape:
+    if x.shape[-1:] != a.shape:
         raise DimensionError("x must match the axes length")
     if m < 1:
         raise ValueError("m must be at least 1")
-    Vs, Fs, gVs = _recurrence(a.tolist(), x.tolist(), m)
-    return HierarchyTables(Vs, [np.array(F) for F in Fs], [np.array(g) for g in gVs])
+    if x.ndim == 1:
+        cols, pack = x.tolist(), np.array
+    else:
+        cols, pack = list(np.moveaxis(x, -1, 0)), lambda v: np.stack(v, axis=-1)
+    Vs, Fs, gVs = _recurrence(a.tolist(), cols, m)
+    return HierarchyTables(Vs, [pack(F) for F in Fs], [pack(g) for g in gVs])
 
 
 def _recurrence(a: list, x: list, m: int) -> tuple[list, list, list]:
@@ -223,8 +233,11 @@ def delta_omega(axes, x, lam: float, k: int,
     return delta, omega
 
 
-def hierarchy_potential(axes, x, sigmas, mu=None) -> float:
-    """Potential (1/2) sum_k sigma_k V^(k) + (1/2) sum_i mu_i^2 / x_i^2."""
+def hierarchy_potential(axes, x, sigmas, mu=None) -> float | np.ndarray:
+    """Potential (1/2) sum_k sigma_k V^(k) + (1/2) sum_i mu_i^2 / x_i^2.
+
+    Broadcasts over a leading axis of x, as `hierarchy_eval` does.
+    """
     a = np.asarray(axes, dtype=float)
     x = np.asarray(x, dtype=float)
     val = 0.0
@@ -234,8 +247,8 @@ def hierarchy_potential(axes, x, sigmas, mu=None) -> float:
     if mu is not None:
         mu = np.asarray(mu, dtype=float)
         nz = mu != 0
-        val += 0.5 * float((mu[nz] ** 2 / x[nz] ** 2).sum())
-    return float(val)
+        val = val + 0.5 * (mu[nz] ** 2 / x[..., nz] ** 2).sum(axis=-1)
+    return val
 
 
 def hierarchy_gradient(axes, x, sigmas, mu=None) -> np.ndarray:

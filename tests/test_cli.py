@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+import confocal.lax
 from confocal.cli import main
-from confocal.config import load_config
+from confocal.config import dump_json, fmt, initial_states, load_config, system_from_config
+from confocal.dynamics import constraint_residuals, energy, integrate
 from confocal.errors import ConfigError
 from confocal.suites import SUITES, run_suites
 from confocal.svgplot import render
@@ -31,7 +33,153 @@ output: {{dir: {out}}}
 """
 
 
+# ---------------------------------------------------------------------------
+# reference: simulate's per-state loop and table writer, which the stacked
+# diagnostics replaced; the two must write the same bytes
+# ---------------------------------------------------------------------------
+
+def _state_columns(s):
+    names, vals = [], []
+    if np.iscomplexobj(s.x):
+        for tag, arr in (("x", s.x), ("y", s.y)):
+            for i, v in enumerate(arr):
+                names += [f"{tag}{i}_re", f"{tag}{i}_im"]
+                vals += [float(v.real), float(v.imag)]
+    else:
+        for tag, arr in (("x", s.x), ("y", s.y)):
+            for i, v in enumerate(arr):
+                names.append(f"{tag}{i}")
+                vals.append(float(v))
+        if s.xi is not None:
+            for tag, arr in (("xi", s.xi), ("eta", s.eta)):
+                for i, v in enumerate(arr):
+                    names.append(f"{tag}{i}")
+                    vals.append(float(v))
+    return names, vals
+
+
+def _write_table_reference(path, header, rows, as_json):
+    if as_json:
+        payload = {"columns": header,
+                   "rows": [[fmt(v) for v in row] for row in rows]}
+        dump_json(payload, path.with_suffix(".json"))
+    else:
+        lines = [",".join(header)]
+        lines.extend(",".join(fmt(v) for v in row) for row in rows)
+        path.with_suffix(".csv").write_text("\n".join(lines) + "\n")
+
+
+def simulate_per_state(cfg, seed, out_dir, as_json):
+    sys_ = system_from_config(cfg)
+    states = initial_states(cfg, sys_, seed)
+    ic = cfg.get("integrator", {})
+    h = ic.get("h", 1e-3)
+    T = ic.get("T", 10.0)
+    ctol = ic.get("ctol", 1e-9)
+    drift_tol = cfg.get("drift_tol", 1e-7)
+    summary_runs = []
+    worst = 0.0
+    for run_idx, s0 in enumerate(states):
+        traj = integrate(sys_, s0, T, h, ctol)
+        fam0 = (confocal.lax.integral_family(sys_, s0)
+                if sys_.kind != "free_oscillator" else None)
+        f0 = None
+        if fam0 is not None:
+            f0 = fam0.f if fam0.f is not None else fam0.ftilde
+        H0 = energy(sys_, s0)
+        header = None
+        rows = []
+        dH = dF = dC = 0.0
+        for s in traj:
+            cols, vals = _state_columns(s)
+            res = constraint_residuals(sys_, s)
+            hval = energy(sys_, s)
+            fvals = []
+            if fam0 is not None:
+                fam = confocal.lax.integral_family(sys_, s)
+                fv = fam.f if fam.f is not None else fam.ftilde
+                fvals = [float(v) for v in fv]
+                dF = float(np.max([dF] + [abs(v - v0) / max(abs(v0), 1e-3)
+                                          for v, v0 in zip(fv, f0)]))
+            if header is None:
+                header = (["t"] + cols + [f"F{i+1}" for i in range(res.size)]
+                          + ["H"] + [f"f{i}" for i in range(len(fvals))])
+            rows.append([s.t] + vals + [float(r) for r in res] + [hval] + fvals)
+            dH = float(np.maximum(dH, abs(hval - H0) / max(abs(H0), 1e-3)))
+            if res.size:
+                dC = float(np.maximum(dC, np.max(np.abs(res))))
+        _write_table_reference(out_dir / f"trajectory_{run_idx}", header, rows, as_json)
+        d0 = np.max(np.abs(traj[-1].x - traj[0].x)) + np.max(np.abs(traj[-1].y - traj[0].y))
+        summary_runs.append({
+            "run": run_idx,
+            "energy_drift": fmt(dH),
+            "integral_drift": fmt(dF),
+            "constraint_max": fmt(dC),
+            "closure_distance": fmt(float(np.real(d0))),
+        })
+        worst = float(np.max([worst, dH, dF]))
+    dump_json({"kind": sys_.kind, "T": T, "h": h, "drift_tol": drift_tol,
+               "runs": summary_runs, "pass": bool(worst <= drift_tol)},
+              out_dir / "summary.json")
+    return 0 if worst <= drift_tol else 1
+
+
+# one system of every kind, a symmetric-axes one (the f-tilde columns), and
+# the JSON table format
+REFERENCE_CASES = [
+    ("jacobi", "{kind: jacobi, axes: [1.0, 2.0, 3.0], sigma: 0.5}", "csv"),
+    ("double_jacobi", "{kind: double_jacobi, axes: [1.0, 2.0, 3.0], sigma: 0.3}", "csv"),
+    ("complex_jacobi", "{kind: complex_jacobi, axes: [1.0, 2.0, 3.0], sigma: 0.4}", "csv"),
+    ("jacobi_rosochatius", "{kind: jacobi_rosochatius, axes: [1.0, 2.0, 3.0], "
+     "sigma: 0.4, mu: [0.2, 0.0, 0.3]}", "csv"),
+    ("separable_hierarchy", "{kind: separable_hierarchy, axes: [1.0, 2.0, 3.0], "
+     "sigmas: [0.5, -0.3, 0.2], mu: [0.3, 0.0, 0.25]}", "csv"),
+    ("free_oscillator", "{kind: free_oscillator, axes: [2.0, 1.0], sigma: 4.0}", "csv"),
+    ("free_jr", "{kind: free_jr, axes: [2.0, 1.0, 0.5], sigma: 0.5, mu: [0.0, 0.3, 0.0]}",
+     "csv"),
+    ("rosochatius-sym22", "{kind: jacobi_rosochatius, axes: [1.3, 1.3, 2.9, 2.9], "
+     "sigma: 0.3, mu: [0.3, 0.2, 0.25, 0.15]}", "csv"),
+    ("rosochatius-json", "{kind: jacobi_rosochatius, axes: [1.0, 2.0, 3.0], "
+     "sigma: 0.4, mu: [0.2, 0.0, 0.3]}", "json"),
+]
+
+
 class TestSimulate:
+    @pytest.mark.parametrize("system,table", [c[1:] for c in REFERENCE_CASES],
+                             ids=[c[0] for c in REFERENCE_CASES])
+    def test_stacked_diagnostics_match_the_per_state_loop(self, tmp_path, system, table):
+        cfg_path = write(tmp_path / "cfg.yaml", f"""\
+version: 1
+seed: 1
+system: {system}
+initial: {{random: {{count: 1}}}}
+integrator: {{h: 1.0e-3, T: 0.5}}
+""")
+        got, want = tmp_path / "got", tmp_path / "want"
+        want.mkdir()
+        code = simulate_per_state(load_config(cfg_path), 1, want, table == "json")
+        assert main(["simulate", "--config", cfg_path, "--out", str(got),
+                     "--format", table]) == code
+        for name in (f"trajectory_0.{table}", "summary.json"):
+            assert (got / name).read_bytes() == (want / name).read_bytes()
+
+    def test_integral_family_runs_once_per_trajectory(self, tmp_path, monkeypatch):
+        real, calls = confocal.lax.integral_family, []
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(confocal.lax, "integral_family", counted)
+        cfg = write(tmp_path / "cfg.yaml", """\
+version: 1
+system: {kind: jacobi_rosochatius, axes: [1.0, 2.0, 3.0], sigma: 0.4, mu: [0.2, 0.0, 0.3]}
+initial: {random: {count: 2}}
+integrator: {h: 1.0e-3, T: 0.1}
+""")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert len(calls) == 2
+
     def test_sphere_geodesic_period_return(self, tmp_path):
         cfg = write(tmp_path / "cfg.yaml",
                     SPHERE.format(T=2 * math.pi, out=tmp_path / "out"))

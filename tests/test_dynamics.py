@@ -20,6 +20,7 @@ from confocal.dynamics import (
 from confocal.errors import (
     ConstraintError,
     MultiplierSingularError,
+    ProjectionError,
     ReductionSingularError,
     SingularAxisError,
 )
@@ -219,6 +220,11 @@ class TestRightHandSides:
         with pytest.raises(ConstraintError):
             rhs(sys, PhaseState(np.array([1.0, 1.0, 1.0]), np.zeros(3)))
 
+    def test_nan_state_rejected(self):
+        # a NaN residual compares false with ctol, and must fail the guard
+        with pytest.raises(ConstraintError):
+            rhs(SystemSpec("jacobi", AXES, sigma=0.5), PhaseState([np.nan, 0, 0], [0, 1, 0]))
+
     def test_charged_axis_crossing_rejected(self):
         sys = SystemSpec("jacobi_rosochatius", AXES, mu=(0.3, 0.0, 0.0))
         x = np.array([1e-10, 0.9, 0.8])
@@ -229,6 +235,11 @@ class TestRightHandSides:
 
 
 class TestIntegrate:
+    def test_nan_initial_state_rejected(self):
+        with pytest.raises(ConstraintError):
+            integrate(SystemSpec("jacobi", AXES, sigma=0.5),
+                      PhaseState([np.nan, 0, 0], [0, 1, 0]), 0.01, 1e-3)
+
     def test_sphere_geodesic_period(self):
         sys = SystemSpec("jacobi", (1.0, 1.0, 1.0), sigma=0.0)
         s0 = PhaseState(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))
@@ -496,6 +507,10 @@ class TestEnergyBattery:
         s.y = s.y + 2e-7
         fixed = project(sys, s)
         assert np.max(np.abs(constraint_residuals(sys, fixed))) < 1e-12
+
+    def test_projection_of_a_nan_state_raises(self):
+        with pytest.raises(ProjectionError):
+            project(SystemSpec("jacobi", AXES, sigma=0.5), PhaseState([np.nan, 0, 0], [0, 1, 0]))
 
 
 class TestFreeKinds:
