@@ -35,7 +35,9 @@ output: {{dir: {out}}}
 
 # ---------------------------------------------------------------------------
 # reference: simulate's per-state loop and table writer, which the stacked
-# diagnostics replaced; the two must write the same bytes
+# diagnostics replaced; the two must write the same bytes.  The loop calls
+# energy, constraint_residuals and integral_family on one state at a time;
+# tests/test_lax.py pins those calls to the one-state formulas they replaced
 # ---------------------------------------------------------------------------
 
 def _state_columns(s):

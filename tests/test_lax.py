@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from confocal import suites
-from confocal.dynamics import PhaseState, SystemSpec, energy, fd_gradient, integrate
+from confocal.dynamics import (
+    PhaseState,
+    SystemSpec,
+    _pair,
+    constraint_residuals,
+    energy,
+    fd_gradient,
+    integrate,
+)
 from confocal.errors import InvariantVarietyError, PoleError
 from confocal.billiard import tangent_directions
 from confocal.geometry import pole_form, tangency_value
@@ -321,6 +329,161 @@ class TestIntegralFamily:
         fam = integral_family(sys, PhaseState(z, p))
         np.testing.assert_allclose(fam.J, -(np.array(fam.f) / sys.a**2).sum(),
                                    atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# reference: the one-state formulas (1-d `@`, np.outer, float sums) that the
+# broadcasting energy, constraint residuals and integrals replaced; every row
+# of a stack, and every one-state call, must give their numbers bit for bit
+# ---------------------------------------------------------------------------
+
+def residuals_per_state(sys, s):
+    a = sys.a
+    if sys.kind == "double_jacobi":
+        return np.array([(s.x / a) @ s.xi - 1.0,
+                         (s.y / a) @ s.xi + (s.x / a) @ s.eta])
+    if sys.constrained:
+        return np.array([((s.x / a) @ s.x.conj()).real - 1.0,
+                         ((s.x / a) @ s.y.conj()).real])
+    return np.zeros(0)
+
+
+def energy_per_state(sys, s):
+    if sys.kind == "double_jacobi":
+        return float(s.y @ s.eta + sys.sigma * (s.x @ s.xi))
+    mu = sys.mu_arr
+    nz = mu != 0
+    kin = 0.5 * float((s.y @ s.y.conj()).real)
+    if sys.kind == "separable_hierarchy":
+        pot = 0.0
+        pot += 0.5 * sum(sg * v for sg, v in
+                         zip(sys.sigmas, hierarchy_eval(sys.a, s.x, len(sys.sigmas)).V))
+        pot += 0.5 * float((mu[nz] ** 2 / s.x[nz] ** 2).sum())
+        return kin + float(pot)
+    pot = 0.5 * sys.sigma * float((s.x @ s.x.conj()).real)
+    if nz.any():
+        pot += 0.5 * float((mu[nz] ** 2 / s.x[nz] ** 2).sum())
+    return kin + pot
+
+
+def family_sums_per_state(sys, s):
+    """(f, ftilde, H) of one state; f is None when axes repeat."""
+    a, x, y = sys.a, s.x, s.y
+    mu = sys.mu_arr
+    nz = mu != 0
+    phi = np.outer(y, x) - np.outer(x, y)
+    if sys.kind == "double_jacobi":
+        P_tab = phi * (np.outer(s.eta, s.xi) - np.outer(s.xi, s.eta))
+        loc = s.y * s.eta + sys.sigma * s.x * s.xi
+    else:
+        P_tab = np.abs(phi) ** 2
+        if nz.any():
+            w = np.zeros_like(mu)
+            w[nz] = mu[nz] / x[nz]
+            P_tab = P_tab + np.outer(w**2, x**2) + np.outer(x**2, w**2)
+            np.fill_diagonal(P_tab, 0.0)
+        loc = np.abs(y) ** 2
+        if sys.kind == "separable_hierarchy":
+            t = hierarchy_eval(a, x, len(sys.sigmas))
+            for sg, F in zip(sys.sigmas, t.F):
+                loc = loc + sg * F
+        else:
+            loc = loc + sys.sigma * np.abs(x) ** 2
+        if nz.any():
+            add = np.zeros_like(loc)
+            add[nz] = mu[nz] ** 2 / x[nz] ** 2
+            loc = loc + add
+    part = sys.ellipsoid.partition
+    ftilde = np.empty(len(part))
+    for si, grp in enumerate(part):
+        grp = list(grp)
+        val = float(np.real(loc[grp].sum()))
+        for i in grp:
+            for j in range(a.size):
+                if j not in grp:
+                    val += float(np.real(P_tab[i, j])) / (a[i] - a[j])
+        ftilde[si] = val
+    f = None
+    if not sys.ellipsoid.is_symmetric:
+        f = np.array([float(np.real(loc[i]))
+                      + sum(float(np.real(P_tab[i, j])) / (a[i] - a[j])
+                            for j in range(a.size) if j != i)
+                      for i in range(a.size)])
+    return f, ftilde, 0.5 * float(ftilde.sum())
+
+
+STACK_SYSTEMS = [
+    SystemSpec("jacobi", AXES, sigma=0.5),
+    SystemSpec("complex_jacobi", AXES, sigma=0.4),
+    SystemSpec("double_jacobi", AXES, sigma=0.3),
+    SystemSpec("jacobi_rosochatius", AXES, sigma=0.4, mu=(0.2, 0.0, 0.3)),
+    SystemSpec("jacobi_rosochatius", (1.3, 1.3, 2.9, 2.9), sigma=0.3,
+               mu=(0.3, 0.2, 0.25, 0.15)),
+    # five distinct axes: four terms per f_i, so their order shows
+    SystemSpec("jacobi_rosochatius", (0.7, 1.1, 2.0, 3.2, 4.5), sigma=0.3,
+               mu=(0.2, 0.0, 0.3, 0.1, 0.0)),
+    SystemSpec("separable_hierarchy", AXES, sigmas=(0.5, -0.3, 0.2),
+               mu=(0.3, 0.0, 0.25)),
+    SystemSpec("free_jr", (2.0, 1.0, 0.5), sigma=0.5, mu=(0.0, 0.3, 0.0)),
+    SystemSpec("free_oscillator", (2.0, 1.0), sigma=4.0),
+]
+
+
+def random_stack(sys, rows, rng):
+    """Unconstrained random states, coordinates bounded away from zero."""
+    n = sys.a.size
+
+    def draw():
+        v = rng.uniform(0.2, 1.5, (rows, n)) * rng.choice([-1.0, 1.0], (rows, n))
+        if sys.kind in ("complex_jacobi", "free_oscillator"):
+            v = v + 1j * rng.uniform(-1.5, 1.5, (rows, n))
+        return v
+
+    pair = (draw(), draw()) if sys.kind == "double_jacobi" else (None, None)
+    return PhaseState(draw(), draw(), np.zeros(rows), *pair)
+
+
+def row(s, k):
+    return PhaseState(s.x[k], s.y[k], 0.0,
+                      None if s.xi is None else s.xi[k],
+                      None if s.eta is None else s.eta[k])
+
+
+class TestStackedFormulas:
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_pair_rows_equal_the_one_state_product(self, n, dtype):
+        rng = np.random.default_rng(n)
+        u, v = (rng.normal(size=(2000, n)).astype(dtype) for _ in range(2))
+        if dtype is complex:
+            u, v = u + 1j * rng.normal(size=(2000, n)), v + 1j * rng.normal(size=(2000, n))
+        want = np.array([(ui @ vi.conj()).real for ui, vi in zip(u, v)])
+        np.testing.assert_array_equal(_pair(u, v), want)
+
+    @pytest.mark.parametrize("sys", STACK_SYSTEMS,
+                             ids=[f"{s.kind}-{s.a.size}" for s in STACK_SYSTEMS])
+    def test_rows_and_single_states_match_the_one_state_formulas(self, sys):
+        stack = random_stack(sys, 200, np.random.default_rng(20))
+        res, H = constraint_residuals(sys, stack), energy(sys, stack)
+        fam = integral_family(sys, stack) if sys.kind != "free_oscillator" else None
+        for k in range(200):
+            s = row(stack, k)
+            want = residuals_per_state(sys, s)
+            np.testing.assert_array_equal(res[k], want)
+            np.testing.assert_array_equal(constraint_residuals(sys, s), want)
+            want = energy_per_state(sys, s)
+            assert H[k] == want and energy(sys, s) == want
+            if fam is None:
+                continue
+            f, ftilde, Hf = family_sums_per_state(sys, s)
+            one = integral_family(sys, s)
+            for got in ((None if fam.f is None else fam.f[k], fam.ftilde[k], fam.H[k]),
+                        (one.f, one.ftilde, one.H)):
+                assert (got[0] is None) == (f is None)
+                if f is not None:
+                    np.testing.assert_array_equal(got[0], f)
+                np.testing.assert_array_equal(got[1], ftilde)
+                assert got[2] == Hf
 
 
 class TestCommutation:
