@@ -88,14 +88,6 @@ def _write_table(path: Path, header: list[str], rows, as_json: bool) -> None:
                 fh.write(",".join(map(fmt, row)) + "\n")
 
 
-def _stack(traj: list[PhaseState]) -> PhaseState:
-    """A trajectory as one state whose arrays carry a leading time axis."""
-    s0 = traj[0]
-    return PhaseState(*(None if getattr(s0, k) is None
-                        else np.array([getattr(s, k) for s in traj])
-                        for k in ("x", "y", "t", "xi", "eta")))
-
-
 def _diagnostics(sys, traj: PhaseState):
     """The table of a stacked trajectory, its header and its three drifts.
 
@@ -143,8 +135,7 @@ def cmd_simulate(cfg: dict, seed: int, out_dir: Path, as_json: bool) -> int:
     summary_runs = []
     worst = 0.0
     for run_idx, s0 in enumerate(states):
-        # the list of states is dropped once stacked
-        traj = _stack(integrate(sys_, s0, T, h, ctol))
+        traj = integrate(sys_, s0, T, h, ctol)
         header, table, (dH, dF, dC) = _diagnostics(sys_, traj)
         _write_table(out_dir / f"trajectory_{run_idx}", header, table, as_json)
         d0 = np.max(np.abs(traj.x[-1] - traj.x[0])) + np.max(np.abs(traj.y[-1] - traj.y[0]))

@@ -33,11 +33,14 @@ move only in the last bits.  Float division by zero and an overflowing cube
 raise SingularAxisError where numpy returned inf.  The double flow raises
 MultiplierSingularError once <A^-2 x, xi> leaves the side it started on.
 
-`constraint_residuals` and `energy` broadcast over a leading axis of the
-state's arrays (a stack of states, one per row); each row equals the call on
-that row's state bit for bit.  The kernel functions take one state.  A state
-whose constraint residuals are not finite fails the guards of `rhs` and
-`integrate` (ConstraintError) and of `project` (ProjectionError).
+A trajectory is one stacked state: `integrate` returns a PhaseState whose
+arrays (and t) carry a leading time axis, one row per stored state, each row
+bit for bit what the kernel computed.  `constraint_residuals` and `energy`
+broadcast over that axis; each row equals the call on that row's state bit
+for bit.  `rhs`, `rk4_step` and `project` take one state.  A state with a
+non-finite coordinate or residual fails the guards of `rhs` and `integrate`
+(ConstraintError), and a non-finite projection fails `project`
+(ProjectionError).
 """
 
 from __future__ import annotations
@@ -73,7 +76,8 @@ class PhaseState:
     """Position/momentum pair; the double flow carries a second pair (xi, eta).
 
     The arrays (and t) may carry a leading axis, one row per state: a stacked
-    trajectory, for the functions that broadcast over it.
+    trajectory, as `integrate` returns, for the functions that broadcast
+    over it.
     """
 
     x: np.ndarray
@@ -191,6 +195,8 @@ def energy(sys: SystemSpec, s: PhaseState) -> float | np.ndarray:
 
 
 def _check_state(sys: SystemSpec, s: PhaseState, ctol: float) -> None:
+    if not all(np.isfinite(v).all() for v in (s.x, s.y, s.xi, s.eta) if v is not None):
+        raise ConstraintError("state has a non-finite coordinate")
     res = constraint_residuals(sys, s)
     # written so that a NaN residual fails it
     if res.size and not np.max(np.abs(res)) <= ctol:
@@ -253,11 +259,12 @@ class _Flow:
                     np.asarray(s.y, dtype=complex).view(float).tolist())
         return s.x.tolist(), s.y.tolist()
 
-    def unpack(self, q: list, p: list, t: float) -> PhaseState:
+    def unpack(self, q: list, p: list, t) -> PhaseState:
+        """The state of packed lists; lists of them give a stacked state."""
         q, p = np.array(q), np.array(p)
         if self.double:
             n = self.n
-            return PhaseState(q[:n], p[:n], t, q[n:], p[n:])
+            return PhaseState(q[..., :n], p[..., :n], t, q[..., n:], p[..., n:])
         if self.cplx:
             return PhaseState(q.view(complex), p.view(complex), t)
         return PhaseState(q, p, t)
@@ -359,11 +366,13 @@ def _singular_as_axis_error():
 # right-hand side and integration
 # ---------------------------------------------------------------------------
 
-def rhs(sys: SystemSpec, s: PhaseState, ctol: float = DEFAULT_CTOL,
-        check: bool = True) -> PhaseState:
-    """Time derivative of the state, packaged in the same container."""
-    if check:
-        _check_state(sys, s, ctol)
+def rhs(sys: SystemSpec, s: PhaseState) -> PhaseState:
+    """Time derivative of the state, packaged in the same container.
+
+    Raises ConstraintError for a state off the constraint set by more than
+    DEFAULT_CTOL or with a non-finite coordinate.
+    """
+    _check_state(sys, s, DEFAULT_CTOL)
     flow = _Flow(sys, s)
     q, p = flow.pack(s)
     with _singular_as_axis_error():
@@ -393,11 +402,12 @@ def project(sys: SystemSpec, s: PhaseState) -> PhaseState:
 
 
 def integrate(sys: SystemSpec, s0: PhaseState, T: float, h: float,
-              ctol: float = DEFAULT_CTOL) -> list[PhaseState]:
+              ctol: float = DEFAULT_CTOL) -> PhaseState:
     """Trajectory of the flow from s0 over time T with fixed step h.
 
-    Every stored state satisfies the constraints to ctol; the returned list
-    includes the initial state and has round(T/h) + 1 entries.
+    Returns one stacked state: its arrays have shape (round(T/h) + 1, n) and
+    its t shape (round(T/h) + 1,), one row per time, row 0 equal to s0.
+    Every row satisfies the constraints to ctol.
     """
     if h <= 0:
         raise ValueError("step size must be positive")
@@ -408,14 +418,15 @@ def integrate(sys: SystemSpec, s0: PhaseState, T: float, h: float,
     proj = sys.constrained
     q, p = flow.pack(s0)
     t = s0.t
-    out = [s0.copy()]
+    rows = [(q, p, t)]
     with _singular_as_axis_error():
         for _ in range(n):
             q, p, t = flow.step(q, p, t, h_eff)
             if proj:
                 q, p = flow.project(q, p, ctol)
-            out.append(flow.unpack(q, p, t))
-    return out
+            rows.append((q, p, t))
+    qs, ps, ts = zip(*rows)
+    return flow.unpack(qs, ps, np.array(ts))
 
 
 # ---------------------------------------------------------------------------

@@ -86,10 +86,14 @@ def suite_lax_residual(seed=0, n_states=20, h=1e-5, tol=1e-7,
 # conservation along trajectories
 # ---------------------------------------------------------------------------
 
-def _relative_drift(v, v0, scale=0.0):
+def _relative_drift(table, scale=0.0) -> float:
+    """Largest relative drift of any column of a (rows, columns) table from
+    its first row; NaN if any entry is."""
+    v0 = table[0]
     # a component much smaller than its family is a near-vanishing
     # combination; its drift is measured against the family scale
-    return abs(v - v0) / max(abs(v0), 0.02 * scale, 1e-3)
+    den = np.maximum(np.maximum(np.abs(v0), 0.02 * scale), 1e-3)
+    return float(np.max(np.abs(table - v0) / den))
 
 
 def suite_conservation(seed=0, T=10.0, h=1e-3, tol=1e-7,
@@ -114,34 +118,19 @@ def suite_conservation(seed=0, T=10.0, h=1e-3, tol=1e-7,
     ]
     out = []
     for name, sys in systems:
-        s0 = random_state(sys, rng)
-        traj = integrate(sys, s0, T, h)
+        traj = integrate(sys, random_state(sys, rng), T, h)
+        # every stride-th row, starting from the initial state
+        s = PhaseState(traj.x[::stride], traj.y[::stride])
+        fam = lx.integral_family(sys, s)
+        fam_cols = [fam.ftilde, *fam.P_pairs.values(), *fam.L_chain.values()]
+        if fam.f is not None:
+            fam_cols.append(fam.f)
         lams = lx.lambda_samples(sys.axes, 5)
-        fam0 = lx.integral_family(sys, s0)
-        H0 = energy(sys, s0)
-        det0 = [lx.det_L(sys, s0, lam) for lam in lams]
-        fam_scale = float(np.max(np.abs(fam0.ftilde)))
-        det_scale = float(np.max(np.abs(det0)))
-        dH = 0.0
-        dfam = 0.0
-        ddet = 0.0
-        for s in traj[::stride]:
-            dH = float(np.maximum(dH, _relative_drift(energy(sys, s), H0)))
-            fam = lx.integral_family(sys, s)
-            if fam0.f is not None:
-                for v, v0 in zip(fam.f, fam0.f):
-                    dfam = float(np.maximum(dfam, _relative_drift(v, v0, fam_scale)))
-            for v, v0 in zip(fam.ftilde, fam0.ftilde):
-                dfam = float(np.maximum(dfam, _relative_drift(v, v0, fam_scale)))
-            for key, v0 in fam0.P_pairs.items():
-                dfam = float(np.maximum(dfam, _relative_drift(fam.P_pairs[key], v0,
-                                                              fam_scale)))
-            for key, v0 in fam0.L_chain.items():
-                dfam = float(np.maximum(dfam, _relative_drift(fam.L_chain[key], v0,
-                                                              fam_scale)))
-            for lam, v0 in zip(lams, det0):
-                ddet = float(np.maximum(ddet, _relative_drift(lx.det_L(sys, s, lam), v0,
-                                                              det_scale)))
+        det = np.array([[lx.det_L(sys, PhaseState(x, y), lam) for lam in lams]
+                        for x, y in zip(s.x, s.y)])
+        dH = _relative_drift(energy(sys, s))
+        dfam = _relative_drift(np.column_stack(fam_cols), np.max(np.abs(fam.ftilde[0])))
+        ddet = _relative_drift(det, np.max(np.abs(det[0])))
         out.append(CheckRecord(f"conservation/{name}/H", dH, tol))
         out.append(CheckRecord(f"conservation/{name}/family", dfam, tol))
         out.append(CheckRecord(f"conservation/{name}/detL", ddet, tol))
@@ -395,10 +384,10 @@ def suite_reduction_compatibility(seed=0, T=5.0, h=1e-3, tol=1e-7,
                            mu=tuple(np.abs(mu0)))
         trc = integrate(sys_c, sc, T, h)
         trr = integrate(sys_r, PhaseState(x0, y0), T, h)
-        for k in range(0, len(trc), stride):
-            xr, yr, _, _ = torus_reduce(trc[k].x, trc[k].y)
-            worst = float(np.max([worst, np.max(np.abs(xr - trr[k].x)),
-                                  np.max(np.abs(yr - trr[k].y))]))
+        for k in range(0, len(trc.t), stride):
+            xr, yr, _, _ = torus_reduce(trc.x[k], trc.y[k])
+            worst = float(np.max([worst, np.max(np.abs(xr - trr.x[k])),
+                                  np.max(np.abs(yr - trr.y[k]))]))
     return [CheckRecord("reduction-compatibility/pointwise", worst, tol)]
 
 

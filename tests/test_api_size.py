@@ -1,0 +1,34 @@
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "confocal"
+
+# Raise this bound only on purpose, for a new option whose reason is recorded
+# in CHANGES.md; lower it when an option goes.
+MAX_DEFAULTED_PARAMETERS = 77
+
+
+def defaulted_parameters() -> dict[str, int]:
+    """Defaulted parameters of each module-level public function of the
+    package, keyed module.function (functions without any are left out)."""
+    out = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                args = node.args
+                count = len(args.defaults) + sum(d is not None for d in args.kw_defaults)
+                if count:
+                    out[f"{path.stem}.{node.name}"] = count
+    return out
+
+
+def test_defaulted_parameters_stay_within_the_bound():
+    counts = defaulted_parameters()
+    assert sum(counts.values()) <= MAX_DEFAULTED_PARAMETERS, counts
+
+
+def test_the_count_reads_known_signatures():
+    counts = defaulted_parameters()
+    assert counts["suites.suite_conservation"] == 5
+    assert counts["dynamics.integrate"] == 1
+    assert "dynamics.rhs" not in counts

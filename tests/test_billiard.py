@@ -561,8 +561,7 @@ class TestCausticsAndClosure:
         tangent -= ((tangent @ n) / (n @ n)) * n
         tangent /= np.linalg.norm(tangent)
         sysb = SystemSpec("jacobi", spec.axes, sigma=0.0)
-        traj = integrate(sysb, PhaseState(x0, tangent), 3.0, 1e-3)
-        curve = np.array([st.x for st in traj])
+        curve = integrate(sysb, PhaseState(x0, tangent), 3.0, 1e-3).x
 
         def orbit_distance(eps):
             y0 = tangent - eps * n / np.linalg.norm(n)

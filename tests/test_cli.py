@@ -7,7 +7,7 @@ import pytest
 import confocal.lax
 from confocal.cli import main
 from confocal.config import dump_json, fmt, initial_states, load_config, system_from_config
-from confocal.dynamics import constraint_residuals, energy, integrate
+from confocal.dynamics import PhaseState, constraint_residuals, energy, integrate
 from confocal.errors import ConfigError
 from confocal.suites import SUITES, run_suites
 from confocal.svgplot import render
@@ -35,10 +35,19 @@ output: {{dir: {out}}}
 
 # ---------------------------------------------------------------------------
 # reference: simulate's per-state loop and table writer, which the stacked
-# diagnostics replaced; the two must write the same bytes.  The loop calls
-# energy, constraint_residuals and integral_family on one state at a time;
-# tests/test_lax.py pins those calls to the one-state formulas they replaced
+# diagnostics replaced; the two must write the same bytes.  The loop reads the
+# trajectory row by row and calls energy, constraint_residuals and
+# integral_family on one state at a time; tests/test_lax.py pins those calls
+# to the one-state formulas they replaced
 # ---------------------------------------------------------------------------
+
+def _rows(traj):
+    """The rows of a stacked trajectory, as one-state PhaseStates."""
+    for k in range(len(traj.t)):
+        yield PhaseState(traj.x[k], traj.y[k], traj.t[k],
+                         None if traj.xi is None else traj.xi[k],
+                         None if traj.eta is None else traj.eta[k])
+
 
 def _state_columns(s):
     names, vals = [], []
@@ -92,7 +101,7 @@ def simulate_per_state(cfg, seed, out_dir, as_json):
         header = None
         rows = []
         dH = dF = dC = 0.0
-        for s in traj:
+        for s in _rows(traj):
             cols, vals = _state_columns(s)
             res = constraint_residuals(sys_, s)
             hval = energy(sys_, s)
@@ -111,7 +120,7 @@ def simulate_per_state(cfg, seed, out_dir, as_json):
             if res.size:
                 dC = float(np.maximum(dC, np.max(np.abs(res))))
         _write_table_reference(out_dir / f"trajectory_{run_idx}", header, rows, as_json)
-        d0 = np.max(np.abs(traj[-1].x - traj[0].x)) + np.max(np.abs(traj[-1].y - traj[0].y))
+        d0 = np.max(np.abs(traj.x[-1] - traj.x[0])) + np.max(np.abs(traj.y[-1] - traj.y[0]))
         summary_runs.append({
             "run": run_idx,
             "energy_drift": fmt(dH),

@@ -43,6 +43,18 @@ KIND_SPECS = [
 ]
 
 
+# a state with a NaN or an infinite coordinate, for each free kind
+NONFINITE_FREE_STATES = [
+    (SystemSpec("free_jr", AXES, sigma=0.5, mu=(0.2, 0.0, 0.3)),
+     PhaseState([np.nan, 1.0, 1.0], [0.0, 1.0, 0.0])),
+    (SystemSpec("free_jr", AXES, sigma=0.5, mu=(0.2, 0.0, 0.3)),
+     PhaseState([1.0, 1.0, 1.0], [0.0, np.inf, 0.0])),
+    (SystemSpec("free_oscillator", (2.0, 1.0), sigma=4.0),
+     PhaseState([complex(np.nan, 0.0), 0.5j], [0.1, 0.2j])),
+]
+NONFINITE_IDS = ["free_jr-nan", "free_jr-inf", "free_oscillator-nan"]
+
+
 # ---------------------------------------------------------------------------
 # reference: the array form of the right-hand side, RK4 step and projection
 # that the float kernel replaced
@@ -117,6 +129,13 @@ def integrate_numpy(sys, s0, T, h):
         s = rk4_step_numpy(sys, out[-1], T / n)
         out.append(project_numpy(sys, s) if sys.constrained else s)
     return out
+
+
+def _row(traj, k):
+    """Row k of a stacked trajectory, as a one-state PhaseState."""
+    return PhaseState(traj.x[k], traj.y[k], traj.t[k],
+                      None if traj.xi is None else traj.xi[k],
+                      None if traj.eta is None else traj.eta[k])
 
 
 def _max_state_diff(s1, s2):
@@ -225,6 +244,12 @@ class TestRightHandSides:
         with pytest.raises(ConstraintError):
             rhs(SystemSpec("jacobi", AXES, sigma=0.5), PhaseState([np.nan, 0, 0], [0, 1, 0]))
 
+    @pytest.mark.parametrize("sys,s", NONFINITE_FREE_STATES, ids=NONFINITE_IDS)
+    def test_nonfinite_state_of_a_free_kind_rejected(self, sys, s):
+        # the free kinds have no residuals to carry the NaN into the guard
+        with pytest.raises(ConstraintError):
+            rhs(sys, s)
+
     def test_charged_axis_crossing_rejected(self):
         sys = SystemSpec("jacobi_rosochatius", AXES, mu=(0.3, 0.0, 0.0))
         x = np.array([1e-10, 0.9, 0.8])
@@ -240,17 +265,40 @@ class TestIntegrate:
             integrate(SystemSpec("jacobi", AXES, sigma=0.5),
                       PhaseState([np.nan, 0, 0], [0, 1, 0]), 0.01, 1e-3)
 
+    @pytest.mark.parametrize("sys,s", NONFINITE_FREE_STATES, ids=NONFINITE_IDS)
+    def test_nonfinite_initial_state_of_a_free_kind_rejected(self, sys, s):
+        with pytest.raises(ConstraintError):
+            integrate(sys, s, 0.01, 1e-3)
+
+    @pytest.mark.parametrize("sys", [KIND_SPECS[0], KIND_SPECS[1], KIND_SPECS[2]],
+                             ids=lambda s: s.kind)
+    def test_trajectory_is_one_stacked_state(self, sys):
+        s0 = random_state(sys, 1, y_scale=0.5)
+        s0.t = 0.25
+        traj = integrate(sys, s0, 0.1, 1e-3)
+        n = len(sys.axes)
+        for k in ("x", "y", "xi", "eta"):
+            v0, v = getattr(s0, k), getattr(traj, k)
+            if v0 is None:
+                assert v is None
+                continue
+            assert v.shape == (101, n) and v.dtype == v0.dtype
+            # row 0 is s0 bit for bit
+            assert v[0].tobytes() == v0.tobytes()
+        assert traj.t.shape == (101,) and traj.t[0] == 0.25
+        assert np.all(np.diff(traj.t) > 0) and traj.t[-1] == pytest.approx(0.35)
+
     def test_sphere_geodesic_period(self):
         sys = SystemSpec("jacobi", (1.0, 1.0, 1.0), sigma=0.0)
         s0 = PhaseState(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))
         traj = integrate(sys, s0, 2.0 * np.pi, 1e-3)
-        assert np.max(np.abs(traj[-1].x - s0.x)) < 1e-8
-        assert np.max(np.abs(traj[-1].y - s0.y)) < 1e-8
+        assert np.max(np.abs(traj.x[-1] - s0.x)) < 1e-8
+        assert np.max(np.abs(traj.y[-1] - s0.y)) < 1e-8
 
     def test_constraints_stay_below_projection_tolerance(self):
         sys = SystemSpec("jacobi_rosochatius", AXES, sigma=0.4, mu=(0.2, 0.0, 0.3))
         traj = integrate(sys, random_state(sys, 2), 3.0, 1e-3)
-        worst = max(float(np.max(np.abs(constraint_residuals(sys, s)))) for s in traj)
+        worst = float(np.max(np.abs(constraint_residuals(sys, traj))))
         assert worst < 1e-10
 
     def test_energy_and_moser_product_drift(self):
@@ -261,15 +309,16 @@ class TestIntegrate:
         a = sys.a
 
         def moser(s):
-            return float(((s.y / a) @ s.y) * ((s.x / a**2) @ s.x))
+            return np.vecdot(s.y / a, s.y) * np.vecdot(s.x / a**2, s.x)
 
         traj = integrate(sys, s0, 10.0, 1e-3)
+        every50 = PhaseState(traj.x[::50], traj.y[::50])
         H0, M0 = energy(sys, s0), moser(s0)
-        dH = max(abs(energy(sys, s) - H0) / abs(H0) for s in traj[::50])
-        dM = max(abs(moser(s) - M0) / abs(M0) for s in traj[::50])
+        dH = np.max(np.abs(energy(sys, every50) - H0) / abs(H0))
+        dM = np.max(np.abs(moser(every50) - M0) / abs(M0))
         assert dH < 1e-8 and dM < 1e-8
         half = integrate(sys, s0, 10.0, 5e-4)
-        np.testing.assert_allclose(half[-1].x, traj[-1].x, atol=1e-9)
+        np.testing.assert_allclose(half.x[-1], traj.x[-1], atol=1e-9)
 
     def test_fourth_order_energy_convergence(self):
         sys = SystemSpec("jacobi", AXES, sigma=0.5)
@@ -291,16 +340,15 @@ class TestIntegrate:
         s0 = random_state(sys, 5, y_scale=0.5)
         traj = integrate(sys, s0, 1.0, 1e-3)
         g0 = s0.y * s0.xi - s0.x * s0.eta
-        for s in traj[::100]:
-            g = s.y * s.xi - s.x * s.eta
-            assert np.max(np.abs(g - g0)) < 1e-8
+        g = (traj.y * traj.xi - traj.x * traj.eta)[::100]
+        assert np.max(np.abs(g - g0)) < 1e-8
 
     def test_double_flow_family_conservation(self):
         sys = SystemSpec("double_jacobi", AXES, sigma=0.3)
         s0 = random_state(sys, 5, y_scale=0.5)
         traj = integrate(sys, s0, 1.0, 1e-3)
         f0 = integral_family(sys, s0).f
-        fT = integral_family(sys, traj[-1]).f
+        fT = integral_family(sys, traj).f[-1]
         np.testing.assert_allclose(fT, f0, atol=1e-9)
 
     def test_double_flow_stops_at_its_multiplier_pole(self):
@@ -320,10 +368,10 @@ class TestFloatKernel:
         s0 = random_state(sys, seed, y_scale=0.5)
         got = integrate(sys, s0, 1.0, 1e-3)
         want = integrate_numpy(sys, s0, 1.0, 1e-3)
-        assert len(got) == len(want) == 1001
-        assert max(_max_state_diff(g, w) for g, w in zip(got, want)) <= 1e-12
-        assert [g.t for g in got] == [w.t for w in want]
-        assert np.iscomplexobj(got[-1].x) == np.iscomplexobj(s0.x)
+        assert len(got.t) == len(want) == 1001
+        assert max(_max_state_diff(_row(got, k), w) for k, w in enumerate(want)) <= 1e-12
+        assert got.t.tolist() == [w.t for w in want]
+        assert np.iscomplexobj(got.x) == np.iscomplexobj(s0.x)
 
     @pytest.mark.parametrize("sys", KIND_SPECS, ids=lambda s: s.kind)
     def test_one_step_and_projection_match_the_array_form(self, sys):
@@ -354,7 +402,7 @@ class TestFloatKernel:
         # the (Re, Im) packing carries no charges, second pair or hierarchy
         s = random_state(SystemSpec("complex_jacobi", AXES), 0)
         with pytest.raises(ValueError, match="complex states"):
-            rhs(sys, s, check=False)
+            rk4_step(sys, s, 1e-3)
 
 
 class TestReparametrizedFlow:
@@ -424,10 +472,10 @@ class TestTorusReduction:
                            mu=tuple(np.abs(mu)))
         worst = 0.0
         for k in range(1, 200, 20):
-            xm, ym, _, _ = torus_reduce(traj[k - 1].x, traj[k - 1].y)
-            x0, y0, _, _ = torus_reduce(traj[k].x, traj[k].y)
-            xp, yp, _, _ = torus_reduce(traj[k + 1].x, traj[k + 1].y)
-            v = rhs(sys_r, PhaseState(x0, y0), ctol=1e-6)
+            xm, ym, _, _ = torus_reduce(traj.x[k - 1], traj.y[k - 1])
+            x0, y0, _, _ = torus_reduce(traj.x[k], traj.y[k])
+            xp, yp, _, _ = torus_reduce(traj.x[k + 1], traj.y[k + 1])
+            v = rhs(sys_r, PhaseState(x0, y0))
             worst = max(worst, float(np.max(np.abs((xp - xm) / (2 * h) - v.x))),
                         float(np.max(np.abs((yp - ym) / (2 * h) - v.y))))
         assert worst < 1e-7
@@ -497,7 +545,7 @@ class TestEnergyBattery:
         s0 = random_state(sys, 13)
         traj = integrate(sys, s0, 10.0, 1e-3)
         H0 = energy(sys, s0)
-        drift = max(abs(energy(sys, s) - H0) / abs(H0) for s in traj[::100])
+        drift = np.max(np.abs(energy(sys, traj)[::100] - H0) / abs(H0))
         assert drift < 1e-8
 
     def test_projection_restores_nearby_state(self):
@@ -519,12 +567,12 @@ class TestFreeKinds:
         z0 = np.array([0.3 + 0.2j, -0.5 + 0.1j])
         p0 = np.array([0.1 - 0.4j, 0.2 + 0.3j])
         traj = integrate(sys, PhaseState(z0, p0), np.pi, 1e-3)  # period 2*pi/w
-        np.testing.assert_allclose(traj[-1].x, z0, atol=1e-10)
-        np.testing.assert_allclose(traj[-1].y, p0, atol=1e-10)
+        np.testing.assert_allclose(traj.x[-1], z0, atol=1e-10)
+        np.testing.assert_allclose(traj.y[-1], p0, atol=1e-10)
 
     def test_free_charged_flow_energy(self):
         sys = SystemSpec("free_jr", (2.0, 1.0), sigma=0.5, mu=(0.0, 0.3))
         s0 = PhaseState(np.array([0.2, 0.6]), np.array([0.4, -0.3]))
         traj = integrate(sys, s0, 2.0, 1e-3)
         H0 = energy(sys, s0)
-        assert max(abs(energy(sys, s) - H0) for s in traj[::50]) < 1e-10
+        assert np.max(np.abs(energy(sys, traj)[::50] - H0)) < 1e-10

@@ -313,7 +313,7 @@ class TestIntegralFamily:
         s0 = random_state(sys, 18)
         traj = integrate(sys, s0, 2.0, 1e-3)
         fam0 = integral_family(sys, s0)
-        famT = integral_family(sys, traj[-1])
+        famT = integral_family(sys, PhaseState(traj.x[-1], traj.y[-1]))
         np.testing.assert_allclose(famT.charges, fam0.charges, atol=1e-10)
         np.testing.assert_allclose(famT.J, fam0.J, atol=1e-10)
         np.testing.assert_allclose(famT.f, fam0.f, atol=1e-9)
@@ -557,8 +557,8 @@ class TestSpectralConservation:
         s0 = random_state(sys, 25)
         traj = integrate(sys, s0, 5.0, 1e-3)
         c0 = psi_poly(sys, s0)
-        for s in traj[::500]:
-            c = psi_poly(sys, s)
+        for x, y in zip(traj.x[::500], traj.y[::500]):
+            c = psi_poly(sys, PhaseState(x, y))
             assert np.max(np.abs(c - c0)) / max(1.0, np.max(np.abs(c0))) < 1e-7
 
 
