@@ -355,8 +355,7 @@ def expected_caustic_count(spec: BilliardSpec) -> int:
     return int(delta.sum()) + (0 if spec.sigma != 0.0 else -1)
 
 
-def orbit_caustics(spec: BilliardSpec, orbit: BilliardOrbit,
-                   tang_tol: float = 1e-8) -> dict:
+def orbit_caustics(spec: BilliardSpec, orbit: BilliardOrbit) -> dict:
     """Caustic parameters of an orbit plus the simultaneous-tangency report."""
     expected = expected_caustic_count(spec)
     etas = orbit.caustics

@@ -152,6 +152,10 @@ def system_from_config(cfg: dict) -> SystemSpec:
 def initial_states(cfg: dict, sys: SystemSpec, seed: int) -> list[PhaseState]:
     init = cfg.get("initial", {})
     if "x" in init and "y" in init:
+        for key in ("x", "y", "xi", "eta"):
+            if key in init and len(init[key]) != len(sys.axes):
+                raise ConfigError(f"initial.{key} has {len(init[key])} entries, "
+                                  f"axes {len(sys.axes)}")
         x = np.asarray(init["x"], dtype=float)
         y = np.asarray(init["y"], dtype=float)
         if sys.kind in ("complex_jacobi", "free_oscillator"):
@@ -159,7 +163,7 @@ def initial_states(cfg: dict, sys: SystemSpec, seed: int) -> list[PhaseState]:
             y = y.astype(complex)
         xi = np.asarray(init["xi"], dtype=float) if "xi" in init else None
         eta = np.asarray(init["eta"], dtype=float) if "eta" in init else None
-        if sys.kind == "double_jacobi" and xi is None:
+        if sys.kind == "double_jacobi" and (xi is None or eta is None):
             raise ConfigError("double_jacobi initial state needs xi and eta")
         return [PhaseState(x, y, 0.0, xi, eta)]
     count = init.get("random", {}).get("count", 1)

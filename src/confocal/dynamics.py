@@ -405,12 +405,16 @@ def integrate(sys: SystemSpec, s0: PhaseState, T: float, h: float,
               ctol: float = DEFAULT_CTOL) -> PhaseState:
     """Trajectory of the flow from s0 over time T with fixed step h.
 
-    Returns one stacked state: its arrays have shape (round(T/h) + 1, n) and
-    its t shape (round(T/h) + 1,), one row per time, row 0 equal to s0.
-    Every row satisfies the constraints to ctol.
+    The N = max(1, round(T/h)) steps have length T/N, so a T below h takes
+    one step of length T.  Returns one stacked state: its arrays have shape
+    (N + 1, n) and its t shape (N + 1,), one row per time, row 0 equal to
+    s0.  Every row satisfies the constraints to ctol.  Raises ValueError for
+    h <= 0 and for a T that is not finite or is <= 0.
     """
     if h <= 0:
         raise ValueError("step size must be positive")
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError(f"duration T must be finite and positive, got {T!r}")
     _check_state(sys, s0, ctol)
     n = max(1, int(round(T / h)))
     h_eff = T / n  # land exactly on T
@@ -500,32 +504,35 @@ def dirac_tensor(axes, s: PhaseState) -> np.ndarray:
 def fd_gradient(func, s: PhaseState) -> np.ndarray:
     """Central-difference phase-space gradient of func(state).
 
-    Step per coordinate is 1e-6 (1 + |coordinate|).  A scalar func gives
-    shape (2(n+1),); a vector-valued one gives one row per coordinate.
+    Coordinate k of z = (x, y) steps by h_k = 1e-6 (1 + |z_k|).  func is
+    called once, on one stacked state of 4(n+1) rows: z + h_k e_k for every
+    k, then z - h_k e_k; it must broadcast over that leading axis, as
+    `integral_family` does.  Row k of the result is the difference of the
+    two values over 2 h_k.  A scalar func gives shape (2(n+1),); a
+    vector-valued one (values on the last axis) one row per coordinate.
     """
-    rows = []
-    for which in ("x", "y"):
-        for i in range(s.x.size):
-            h = 1e-6 * (1.0 + abs(float(getattr(s, which)[i])))
-            sp, sm = s.copy(), s.copy()
-            getattr(sp, which)[i] += h
-            getattr(sm, which)[i] -= h
-            rows.append(np.subtract(func(sp), func(sm)) / (2 * h))
-    return np.array(rows)
+    m = 2 * s.x.size
+    z = np.concatenate([s.x, s.y])
+    h = 1e-6 * (1.0 + np.abs(z))
+    zs = np.tile(z, (2 * m, 1))
+    k = np.arange(m)
+    zs[k, k] += h
+    zs[m + k, k] -= h
+    extra = [None if v is None else np.tile(v, (2 * m, 1)) for v in (s.xi, s.eta)]
+    f = np.asarray(func(PhaseState(zs[:, :m // 2], zs[:, m // 2:], s.t, *extra)))
+    return (f[:m] - f[m:]) / (2.0 * h).reshape((m,) + (1,) * (f.ndim - 1))
 
 
-def dirac_bracket(axes, f, g, s: PhaseState, grad_f=None, grad_g=None) -> float:
-    """Constrained Poisson bracket {f, g} of two scalar observables at a state.
+def dirac_bracket(axes, grad_f, grad_g, s: PhaseState) -> float:
+    """Constrained Poisson bracket {f, g} at a state, grad_f W grad_g.
 
-    f and g are evaluators of a PhaseState; their gradients default to central
-    differences (see `fd_gradient`) but analytic gradients of shape (2(n+1),)
-    may be supplied.
+    grad_f and grad_g are phase-space gradients of shape (2(n+1),) (for
+    instance from `fd_gradient`) and W is `dirac_tensor`.  Raises
+    ConstraintError for a state off the constraint set.
     """
     a = np.asarray(axes, dtype=float)
     res_x = abs((s.x / a) @ s.x - 1.0)
     res_y = abs((s.x / a) @ s.y)
     if max(res_x, res_y) > DEFAULT_CTOL:
         raise ConstraintError("state is off the constraint set")
-    gf = grad_f if grad_f is not None else fd_gradient(f, s)
-    gg = grad_g if grad_g is not None else fd_gradient(g, s)
-    return float(gf @ dirac_tensor(a, s) @ gg)
+    return float(grad_f @ dirac_tensor(a, s) @ grad_g)

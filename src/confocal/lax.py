@@ -443,65 +443,8 @@ def real_roots(coeffs) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# analytic gradients and commutation / rank reports
+# commutation and rank reports
 # ---------------------------------------------------------------------------
-
-def _grad_pair(sys: SystemSpec, s: PhaseState, i: int, j: int) -> np.ndarray:
-    """Phase-space gradient of the pairwise invariant P_ij (real kinds)."""
-    n1 = sys.a.size
-    mu = sys.mu_arr
-    x, y = s.x, s.y
-    g = np.zeros(2 * n1)
-    phi = y[i] * x[j] - x[i] * y[j]
-    g[i] = -2.0 * phi * y[j]
-    g[j] = 2.0 * phi * y[i]
-    g[n1 + i] = 2.0 * phi * x[j]
-    g[n1 + j] = -2.0 * phi * x[i]
-    if mu[i] != 0:
-        g[i] += -2.0 * mu[i] ** 2 * x[j] ** 2 / x[i] ** 3
-        g[j] += 2.0 * mu[i] ** 2 * x[j] / x[i] ** 2
-    if mu[j] != 0:
-        g[i] += 2.0 * mu[j] ** 2 * x[i] / x[j] ** 2
-        g[j] += -2.0 * mu[j] ** 2 * x[i] ** 2 / x[j] ** 3
-    return g
-
-
-def _grad_local(sys: SystemSpec, s: PhaseState, i: int) -> np.ndarray:
-    n1 = sys.a.size
-    mu = sys.mu_arr
-    g = np.zeros(2 * n1)
-    g[i] = 2.0 * sys.sigma * s.x[i]
-    if mu[i] != 0:
-        g[i] -= 2.0 * mu[i] ** 2 / s.x[i] ** 3
-    g[n1 + i] = 2.0 * s.y[i]
-    return g
-
-
-def gradient_ftilde(sys: SystemSpec, s: PhaseState, group_index: int) -> np.ndarray:
-    """Analytic gradient of the per-group integral (jacobi / rosochatius kinds)."""
-    if sys.kind not in ("jacobi", "jacobi_rosochatius", "free_jr"):
-        raise ValueError("analytic gradients are provided for quadratic kinds only")
-    grp = sys.ellipsoid.partition[group_index]
-    a = sys.a
-    others = [j for j in range(a.size) if j not in grp]
-    g = np.zeros(2 * a.size)
-    for i in grp:
-        g += _grad_local(sys, s, i)
-        for j in others:
-            g += _grad_pair(sys, s, i, j) / (a[i] - a[j])
-    return g
-
-
-def gradient_pair_sum(sys: SystemSpec, s: PhaseState, group_index: int,
-                      members=None) -> np.ndarray:
-    """Analytic gradient of a sum of in-group invariants (defaults to all)."""
-    grp = list(sys.ellipsoid.partition[group_index]) if members is None else list(members)
-    g = np.zeros(2 * sys.a.size)
-    for ii, i in enumerate(grp):
-        for j in grp[ii + 1:]:
-            g += _grad_pair(sys, s, i, j)
-    return g
-
 
 @dataclass
 class CheckRecord:
@@ -579,93 +522,78 @@ def commuting_pairs(spec: EllipsoidSpec) -> list[tuple]:
     return pairs
 
 
-def _family_entry(fam: IntegralFamily, tag: tuple) -> float:
-    """Value of the observable `tag` (see `commuting_pairs`) in a family."""
-    kind = tag[0]
-    if kind == "ftilde":
-        return fam.ftilde[tag[1]]
-    if kind == "P":
-        return fam.P[tag[1]]
-    if kind == "Ppair":
-        return fam.P_pairs[tag[1:]]
-    if kind == "Psum":
-        return sum(fam.P_pairs[(tag[1],) + ij] for ij in tag[2])
-    if kind == "Lchain":
-        return fam.L_chain[tag[1:]]
-    raise ValueError(f"unknown observable tag {tag!r}")
+# observable tag kind -> (its value in a family, its record name), each
+# called with the tag's remaining fields; values read a stacked family too
+_OBSERVABLES = {
+    "ftilde": (lambda fam, s: fam.ftilde[..., s], lambda s: f"ftilde[{s}]"),
+    "P": (lambda fam, s: fam.P[..., s], lambda s: f"P[{s}]"),
+    "Ppair": (lambda fam, s, i, j: fam.P_pairs[(s, i, j)],
+              lambda s, i, j: f"P[{s};{i},{j}]"),
+    "Psum": (lambda fam, s, pairs: sum(fam.P_pairs[(s,) + ij] for ij in pairs),
+             lambda s, pairs: f"P[{s};" + "+".join(f"{i},{j}" for i, j in pairs) + "]"),
+    "Lchain": (lambda fam, s, k: fam.L_chain[(s, k)], lambda s, k: f"L[{s};{k}]"),
+}
 
 
-def _tag_name(tag: tuple) -> str:
-    kind = tag[0]
-    if kind == "ftilde":
-        return f"ftilde[{tag[1]}]"
-    if kind == "P":
-        return f"P[{tag[1]}]"
-    if kind == "Ppair":
-        return f"P[{tag[1]};{tag[2]},{tag[3]}]"
-    if kind == "Psum":
-        return f"P[{tag[1]};" + "+".join(f"{i},{j}" for i, j in tag[2]) + "]"
-    if kind == "Lchain":
-        return f"L[{tag[1]};{tag[2]}]"
-    return repr(tag)
+def _tag_gradients(sys: SystemSpec, s: PhaseState, tags: list) -> dict:
+    """Phase-space gradient of each observable tag at a state, keyed by tag:
+    one stacked central difference (`fd_gradient`) of `integral_family`."""
+
+    def values(st):
+        fam = integral_family(sys, st)
+        return np.stack([_OBSERVABLES[t[0]][0](fam, *t[1:]) for t in tags], axis=-1)
+
+    return dict(zip(tags, fd_gradient(values, s).T))
 
 
 def commutation_suite(sys: SystemSpec, s: PhaseState,
                       tol: float = 1e-6) -> list[CheckRecord]:
     """Constrained brackets of the vanishing pairs at one state.
 
-    The gradients are one vector-valued central difference (`fd_gradient`)
-    of the `integral_family` entries.  Returns one record per pair with the
-    absolute bracket value.
+    The gradients come from `_tag_gradients`.  Returns one record per pair
+    with the absolute bracket value.
     """
     pairs = commuting_pairs(sys.ellipsoid)
     tags = sorted({t for pr in pairs for t in pr}, key=repr)
-
-    def values(st):
-        fam = integral_family(sys, st)
-        return [_family_entry(fam, t) for t in tags]
-
-    grads = dict(zip(tags, fd_gradient(values, s).T))
-    out = []
-    for t1, t2 in pairs:
-        val = dirac_bracket(sys.a, None, None, s, grad_f=grads[t1], grad_g=grads[t2])
-        out.append(CheckRecord(f"{{{_tag_name(t1)},{_tag_name(t2)}}}", abs(val), tol))
-    return out
+    grads = _tag_gradients(sys, s, tags)
+    names = {t: _OBSERVABLES[t[0]][1](*t[1:]) for t in tags}
+    return [CheckRecord(f"{{{names[t1]},{names[t2]}}}",
+                        abs(dirac_bracket(sys.a, grads[t1], grads[t2], s)), tol)
+            for t1, t2 in pairs]
 
 
 def gradient_rank_report(sys: SystemSpec, s: PhaseState) -> dict:
     """Numeric ranks of the spans of the two conserved families' vector fields.
 
     The rows are the constrained Hamiltonian vector fields (Dirac tensor
-    applied to the gradients); contracting is what turns the on-shell
-    pole-sum relation into an actual linear dependency.  For a partition
-    with r+1 groups, rho of which have size >= 2, the span of
+    applied to the gradients of `_tag_gradients`); contracting is what turns
+    the on-shell pole-sum relation into an actual linear dependency.  For a
+    partition with r+1 groups, rho of which have size >= 2, the span of
     {ftilde_s, P_{s,ij}} has dimension 2n - r - rho and the span of
-    {ftilde_s, P_s} has dimension r + rho at generic states.
+    {ftilde_s, P_s} has dimension r + rho at generic states.  Raises
+    ValueError outside the jacobi, jacobi_rosochatius and free_jr kinds.
     """
+    if sys.kind not in ("jacobi", "jacobi_rosochatius", "free_jr"):
+        raise ValueError("rank reports are provided for quadratic kinds only")
     spec = sys.ellipsoid
     part = spec.partition
     r = len(part) - 1
     rho = sum(1 for g in part if len(g) >= 2)
     n = spec.dim
+    central = [("ftilde", si) for si in range(len(part))]
+    central += [("P", si) for si, grp in enumerate(part) if len(grp) >= 2]
+    pairs = [("Ppair", si, i, j) for si, grp in enumerate(part)
+             for ii, i in enumerate(grp) for j in grp[ii + 1:]]
+    grads = _tag_gradients(sys, s, central + pairs)
     W = dirac_tensor(sys.a, s)
-    rows_F = [W @ gradient_ftilde(sys, s, si) for si in range(len(part))]
-    for si, grp in enumerate(part):
-        for ii, i in enumerate(grp):
-            for j in grp[ii + 1:]:
-                rows_F.append(W @ _grad_pair(sys, s, i, j))
-    rows_K = [W @ gradient_ftilde(sys, s, si) for si in range(len(part))]
-    for si, grp in enumerate(part):
-        if len(grp) >= 2:
-            rows_K.append(W @ gradient_pair_sum(sys, s, si))
 
-    def rank(rows):
-        sv = np.linalg.svd(np.array(rows), compute_uv=False)
+    def rank(tags):
+        sv = np.linalg.svd(np.array([W @ grads[t] for t in tags]), compute_uv=False)
         return int(np.count_nonzero(sv > 1e-7 * sv[0]))
 
     return {
-        "rank_full_family": rank(rows_F),
+        "rank_full_family": rank(central[:len(part)] + pairs),
         "expected_full_family": 2 * n - r - rho,
-        "rank_central_family": rank(rows_K),
+        "rank_central_family": rank(central),
         "expected_central_family": r + rho,
     }

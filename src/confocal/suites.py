@@ -247,7 +247,7 @@ def suite_caustics(seed=0, bounces=50, drift_tol=1e-7,
         spec = bl.BilliardSpec(base, sigma=sigma, mu=mu)
         x, y = random_impact_state(base, sigma, mu, rng, speed=1.3)
         orb = bl.run_orbit(spec, bl.ImpactState(x, y), bounces, with_lax=False)
-        rep = bl.orbit_caustics(spec, orb, tangency_tol)
+        rep = bl.orbit_caustics(spec, orb)
         label = f"caustics/n{n}/{mu_name}/sigma{sigma:+g}"
         count_err = 0.0 if (rep["count_ok"] and rep["per_segment_count_ok"]) else 1.0
         out.append(CheckRecord(f"{label}/count={rep['expected_count']}", count_err, 0.5))

@@ -5,7 +5,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "confocal"
 
 # Raise this bound only on purpose, for a new option whose reason is recorded
 # in CHANGES.md; lower it when an option goes.
-MAX_DEFAULTED_PARAMETERS = 77
+MAX_DEFAULTED_PARAMETERS = 73
 
 
 def defaulted_parameters() -> dict[str, int]:
@@ -32,3 +32,7 @@ def test_the_count_reads_known_signatures():
     assert counts["suites.suite_conservation"] == 5
     assert counts["dynamics.integrate"] == 1
     assert "dynamics.rhs" not in counts
+    # gone with the hand-written gradients and the evaluator path of the bracket
+    assert "lax.gradient_pair_sum" not in counts
+    assert "dynamics.dirac_bracket" not in counts
+    assert "billiard.orbit_caustics" not in counts

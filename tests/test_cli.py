@@ -239,6 +239,22 @@ system: {kind: jacobi, axes: [1.0, 2.0, 3.0], sigma: 0.4, mu: [0.2, 0.0, 0.3]}
         err = capsys.readouterr().err
         assert "takes no charges" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("key", ["x", "y", "xi", "eta"])
+    def test_initial_vector_of_the_wrong_length_is_a_config_error(self, tmp_path,
+                                                                 capsys, key):
+        init = {"x": [1.0, 0.0, 0.0], "y": [0.0, 0.5, 0.0],
+                "xi": [1.0, 0.0, 0.0], "eta": [0.0, -0.5, 0.0]}
+        init[key] = init[key][:2]
+        cfg = write(tmp_path / "cfg.yaml", f"""\
+version: 1
+system: {{kind: double_jacobi, axes: [1.0, 2.0, 3.0], sigma: 0.3}}
+initial: {json.dumps(init)}
+integrator: {{h: 1.0e-3, T: 0.01}}
+""")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"initial.{key} has 2 entries" in err and "Traceback" not in err
+
     def test_drift_gate_failure_sets_exit_code(self, tmp_path):
         cfg = write(tmp_path / "cfg.yaml", f"""\
 version: 1

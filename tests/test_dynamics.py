@@ -270,6 +270,18 @@ class TestIntegrate:
         with pytest.raises(ConstraintError):
             integrate(sys, s, 0.01, 1e-3)
 
+    @pytest.mark.parametrize("T", [0.0, -0.01, np.inf, np.nan])
+    def test_duration_must_be_finite_and_positive(self, T):
+        sys = SystemSpec("jacobi", AXES, sigma=0.5)
+        with pytest.raises(ValueError, match="duration"):
+            integrate(sys, random_state(sys, 1), T, 1e-3)
+
+    def test_duration_below_the_step_takes_one_step_of_that_length(self):
+        sys = SystemSpec("jacobi", AXES, sigma=0.5)
+        traj = integrate(sys, random_state(sys, 1), 4e-4, 1e-3)
+        assert traj.x.shape == (2, 3)
+        assert traj.t[0] == 0.0 and traj.t[1] == pytest.approx(4e-4, rel=1e-15)
+
     @pytest.mark.parametrize("sys", [KIND_SPECS[0], KIND_SPECS[1], KIND_SPECS[2]],
                              ids=lambda s: s.kind)
     def test_trajectory_is_one_stacked_state(self, sys):
@@ -498,19 +510,20 @@ class TestDiracBracket:
         np.testing.assert_allclose(W, -W.T, atol=1e-15)
         rng = np.random.default_rng(12)
         c1, c2 = rng.normal(size=6), rng.normal(size=6)
-        f = lambda st: float(c1[:3] @ st.x**2 + c1[3:] @ (st.x * st.y))
-        g = lambda st: float(c2[:3] @ st.y**2 + c2[3:] @ (st.x * st.y))
-        b1 = dirac_bracket(self.a, f, g, self.s)
-        b2 = dirac_bracket(self.a, g, f, self.s)
+        f = lambda st: st.x**2 @ c1[:3] + (st.x * st.y) @ c1[3:]
+        g = lambda st: st.y**2 @ c2[:3] + (st.x * st.y) @ c2[3:]
+        gf, gg = fd_gradient(f, self.s), fd_gradient(g, self.s)
+        b1 = dirac_bracket(self.a, gf, gg, self.s)
+        b2 = dirac_bracket(self.a, gg, gf, self.s)
         assert abs(b1 + b2) < 1e-10
 
     def test_coordinate_momentum_table(self):
         den = (self.s.x / self.a**2) @ self.s.x
         for i in range(3):
             for j in range(3):
-                f = lambda st, i=i: float(st.x[i])
-                g = lambda st, j=j: float(st.y[j])
-                got = dirac_bracket(self.a, f, g, self.s)
+                gf = fd_gradient(lambda st, i=i: st.x[..., i], self.s)
+                gg = fd_gradient(lambda st, j=j: st.y[..., j], self.s)
+                got = dirac_bracket(self.a, gf, gg, self.s)
                 want = (1.0 if i == j else 0.0) - (
                     self.s.x[i] * self.s.x[j] / (self.a[i] * self.a[j] * den))
                 np.testing.assert_allclose(got, want, atol=1e-8)
@@ -519,18 +532,56 @@ class TestDiracBracket:
         sys = self.sys
         for seed in range(5):
             s = random_state(sys, 100 + seed)
-            fam_f = lambda st, i: float(integral_family(sys, st).f[i])
+            grads = fd_gradient(lambda st: integral_family(sys, st).f, s).T
             for i in range(3):
                 for j in range(i + 1, 3):
-                    val = dirac_bracket(
-                        self.a, lambda st, i=i: fam_f(st, i),
-                        lambda st, j=j: fam_f(st, j), s)
+                    val = dirac_bracket(self.a, grads[i], grads[j], s)
                     assert abs(val) < 1e-6
 
     def test_off_manifold_state_rejected(self):
         bad = PhaseState(np.array([1.0, 1.0, 1.0]), np.zeros(3))
         with pytest.raises(ConstraintError):
-            dirac_bracket(self.a, lambda st: 0.0, lambda st: 0.0, bad)
+            dirac_bracket(self.a, np.zeros(6), np.zeros(6), bad)
+
+
+def fd_gradient_loop(func, s):
+    """Per-coordinate central difference: func on one displaced state at a
+    time, the reference for the stacked `fd_gradient`."""
+    rows = []
+    for which in ("x", "y"):
+        for i in range(s.x.size):
+            h = 1e-6 * (1.0 + abs(float(getattr(s, which)[i])))
+            sp, sm = s.copy(), s.copy()
+            getattr(sp, which)[i] += h
+            getattr(sm, which)[i] -= h
+            rows.append(np.subtract(func(sp), func(sm)) / (2 * h))
+    return np.array(rows)
+
+
+class TestFdGradient:
+    sys = SystemSpec("jacobi_rosochatius", (1.5, 1.5, 1.5, 2.8, 2.8), sigma=0.2,
+                     mu=(0.2, 0.1, 0.15, 0.25, 0.3))
+
+    def family_entries(self, st):
+        fam = integral_family(self.sys, st)
+        return np.stack([*np.moveaxis(fam.ftilde, -1, 0), *np.moveaxis(fam.P, -1, 0),
+                         *fam.P_pairs.values(), *fam.L_chain.values()], axis=-1)
+
+    @pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
+    def test_stacked_difference_equals_the_per_coordinate_loop(self, vector):
+        s = random_state(self.sys, 31)
+        func = self.family_entries if vector else (lambda st: energy(self.sys, st))
+        calls = []
+
+        def counted(st):
+            calls.append(st.x.shape)
+            return func(st)
+
+        got = fd_gradient(counted, s)
+        assert calls == [(20, 5)]
+        want = fd_gradient_loop(func, s)
+        assert got.shape == want.shape == ((10, 11) if vector else (10,))
+        assert got.tobytes() == want.tobytes()
 
 
 class TestEnergyBattery:

@@ -8,21 +8,17 @@ from confocal.dynamics import (
     _pair,
     constraint_residuals,
     energy,
-    fd_gradient,
     integrate,
 )
 from confocal.errors import InvariantVarietyError, PoleError
 from confocal.billiard import tangent_directions
 from confocal.geometry import pole_form, tangency_value
 from confocal.lax import (
-    _grad_pair,
     build_lax,
     clearing_exponents,
     commutation_suite,
     commuting_pairs,
     det_L,
-    gradient_ftilde,
-    gradient_pair_sum,
     gradient_rank_report,
     integral_family,
     lambda_samples,
@@ -508,29 +504,15 @@ class TestCommutation:
             for rec in commutation_suite(sys, s):
                 assert rec.value < 1e-6, rec.name
 
-    def test_analytic_gradients_agree_with_difference_gradients(self):
-        # the rank report uses the analytic gradients; they must be the
-        # derivatives of the integral_family entries the brackets difference
-        sys = SystemSpec("jacobi_rosochatius", (1.3, 1.3, 2.9, 2.9), sigma=0.3,
-                         mu=(0.3, 0.2, 0.25, 0.15))
-        s = random_state(sys, 22)
-        part = sys.ellipsoid.partition
-        fam = integral_family(sys, s)
-
-        def entries(st):
-            f = integral_family(sys, st)
-            return (list(f.ftilde) + list(f.P) + list(f.P_pairs.values())
-                    + list(f.L_chain.values()))
-
-        analytic = ([gradient_ftilde(sys, s, si) for si in range(len(part))]
-                    + [gradient_pair_sum(sys, s, si) for si in range(len(part))]
-                    + [_grad_pair(sys, s, i, j) for (_, i, j) in fam.P_pairs]
-                    + [gradient_pair_sum(sys, s, si, part[si][:k + 1])
-                       for (si, k) in fam.L_chain])
-        fd = fd_gradient(entries, s)
-        assert fd.shape == (8, len(analytic))
-        for g_fd, g_an in zip(fd.T, analytic):
-            np.testing.assert_allclose(g_an, g_fd, rtol=1e-6, atol=1e-7)
+    def test_record_names_of_every_tag_kind(self):
+        sys = SystemSpec("jacobi_rosochatius", (1.5, 1.5, 1.5, 2.8, 2.8),
+                         sigma=0.2, mu=(0.2, 0.1, 0.15, 0.25, 0.3))
+        names = [rec.name for rec in commutation_suite(sys, random_state(sys, 21))]
+        assert len(names) == 36
+        for name in ("{ftilde[0],ftilde[1]}", "{ftilde[0],P[0]}", "{P[0],P[1]}",
+                     "{ftilde[0],P[0;0,1]}", "{P[0],P[0;0,1]}", "{P[0;0,1],P[1;3,4]}",
+                     "{P[0;0,1],P[0;0,2+1,2]}", "{L[0;1],L[0;2]}", "{P[0;0,1],L[0;1]}"):
+            assert name in names
 
 
 class TestRankReport:
@@ -549,6 +531,12 @@ class TestRankReport:
         rep = gradient_rank_report(sys, random_state(sys, 24))
         assert rep["rank_full_family"] == rep["expected_full_family"] == 4
         assert rep["rank_central_family"] == rep["expected_central_family"] == 2
+
+    @pytest.mark.parametrize("kind", ["double_jacobi", "separable_hierarchy"])
+    def test_other_kinds_rejected(self, kind):
+        sys = SystemSpec(kind, AXES, sigma=0.3, sigmas=(0.5,))
+        with pytest.raises(ValueError, match="quadratic kinds"):
+            gradient_rank_report(sys, random_state(sys, 25))
 
 
 class TestSpectralConservation:
