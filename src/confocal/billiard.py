@@ -29,6 +29,7 @@ from .lax import LaxPair2, clearing_exponents, lambda_samples, psi_poly, real_ro
 
 GRAZE_TOL = 1e-8
 MAP_TOL = 1e-12  # smallest admissible nu^2 of the bounce map
+ORACLE_T_MAX = 100.0  # longest flight the oracle integrates before EscapeError
 
 
 class BilliardSpec(SystemSpec):
@@ -40,10 +41,6 @@ class BilliardSpec(SystemSpec):
     def __init__(self, axes, sigma=0.0, mu=()):
         super().__init__("free_jr", axes, sigma=sigma,
                          mu=mu if len(mu) else [0.0] * len(axes))
-
-    @property
-    def dim(self) -> int:
-        return len(self.axes)
 
     def boundary_residual(self, x) -> float:
         x = np.asarray(x, dtype=float)
@@ -97,7 +94,7 @@ def jr_step(spec: BilliardSpec, s: ImpactState) -> ImpactState:
     J, K, nu = _map_coefficients(spec, s)
     x, y = s.x, s.y
     nz = mu != 0
-    w = np.zeros(spec.dim)
+    w = np.zeros(a.size)
     w[nz] = mu[nz] / x[nz]
     # complex amplitude whose modulus/argument carry the charged update
     amp = -K * x - J * y - 1j * J * w
@@ -106,8 +103,8 @@ def jr_step(spec: BilliardSpec, s: ImpactState) -> ImpactState:
         raise SingularAxisError("charged coordinate collapsed at the new impact")
     x1 = x1 / np.sqrt((x1 / a) @ x1)
     pi = J / float((x1 / a**2) @ x1)
-    y1 = np.empty(spec.dim)
-    for j in range(spec.dim):
+    y1 = np.empty(a.size)
+    for j in range(a.size):
         if nz[j]:
             phase = np.exp(-1j * np.angle(amp[j]))
             val = (-phase / nu * (K * (pi / a[j] * x[j] + y[j] + 1j * mu[j] / x[j]))
@@ -178,8 +175,7 @@ def _rk4_floats(x: list, y: list, dt: float, sig: float, mu2: list,
     return xn, yn, q
 
 
-def oracle_step(spec: BilliardSpec, s: ImpactState, h: float = 4e-3,
-                t_max: float = 100.0) -> ImpactState:
+def oracle_step(spec: BilliardSpec, s: ImpactState, h: float = 4e-3) -> ImpactState:
     """One bounce by integrating the free flow and reflecting at the boundary.
 
     The crossing is bracketed by scanning with step h/4 and then located by
@@ -193,7 +189,8 @@ def oracle_step(spec: BilliardSpec, s: ImpactState, h: float = 4e-3,
     results differ from the array form's only in the last bit, where numpy's
     cube and dot product round differently from `pow` and a sequential sum.
     numpy returns for the final normalisation and reflection.  A charged
-    coordinate that reaches its axis raises SingularAxisError.
+    coordinate that reaches its axis raises SingularAxisError, and a flight
+    longer than ORACLE_T_MAX raises EscapeError.
     """
     J = impact_invariant(spec, s)
     if J > -GRAZE_TOL:
@@ -204,13 +201,13 @@ def oracle_step(spec: BilliardSpec, s: ImpactState, h: float = 4e-3,
     x, y = s.x.tolist(), s.y.tolist()
     t = 0.0
     try:
-        while t < t_max:
+        while t < ORACLE_T_MAX:
             xn, yn, q = _rk4_floats(x, y, hs, sig, mu2, axes)
             if q - 1.0 >= 0.0:
                 break
             x, y, t = xn, yn, t + hs
         else:
-            raise EscapeError(f"no boundary crossing within t_max={t_max}")
+            raise EscapeError(f"no boundary crossing within t_max={ORACLE_T_MAX}")
         # bisect the fraction of the last step, integrating afresh from its start
         lo, hi = 0.0, hs
         for _ in range(64):
@@ -237,7 +234,7 @@ def flight(spec: BilliardSpec, s: ImpactState, t):
 
     Each coordinate is lifted to the complex plane (charge as angular
     momentum), evolved as a harmonic oscillator, and projected back.
-    Returns an array of positions with shape (len(t), dim).
+    Returns an array of positions with shape (len(t), len(spec.axes)).
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     mu = spec.mu_arr
@@ -271,11 +268,6 @@ def _discrete_companion(spec: BilliardSpec, s: ImpactState, s_next: ImpactState,
                      [-J * lam, K * lam]])
 
 
-def spectral_matrix(spec: BilliardSpec, s: ImpactState) -> LaxPair2:
-    """Small spectral matrix of the impact state (free-flow pair)."""
-    return LaxPair2(spec, s.x, s.y)
-
-
 def discrete_lax_check(spec: BilliardSpec, s: ImpactState, s_next: ImpactState,
                        lambdas) -> list[dict]:
     """Conjugation-law residuals for one bounce, per sampled parameter.
@@ -286,12 +278,15 @@ def discrete_lax_check(spec: BilliardSpec, s: ImpactState, s_next: ImpactState,
     those j, and negating both leaves every product in L bit-for-bit equal.
     """
     out = []
+    # the free-flow spectral matrices of the two impact states
+    pair0 = LaxPair2(spec, s.x, s.y)
+    pair1 = LaxPair2(spec, s_next.x, s_next.y)
     for lam in lambdas:
         if abs(lam) < 1e-12:
             raise GrazingOrSingularError("companion matrix is singular at lam=0")
         A = _discrete_companion(spec, s, s_next, lam)
-        L0 = spectral_matrix(spec, s).L(lam)
-        L1 = spectral_matrix(spec, s_next).L(lam)
+        L0 = pair0.L(lam)
+        L1 = pair1.L(lam)
         d0 = L0[0, 0] * L0[1, 1] - L0[0, 1] * L0[1, 0]
         d1 = L1[0, 0] * L1[1, 1] - L1[0, 1] * L1[1, 0]
         out.append({"lam": float(lam), "det_drift": abs(float(d1 - d0)),
@@ -449,7 +444,7 @@ def tangent_state(spec: BilliardSpec, eta: float, theta: float) -> ImpactState:
     Among the unit inward tangent directions, picks the one with the largest
     counterclockwise angular advance.
     """
-    if spec.dim != 2 or spec.sigma != 0.0 or np.any(spec.mu_arr != 0):
+    if len(spec.axes) != 2 or spec.sigma != 0.0 or np.any(spec.mu_arr != 0):
         raise ValueError("tangent launching is a planar, force-free construction")
     x = boundary_point(spec.a, theta)
     n = x / spec.a
@@ -474,7 +469,7 @@ def find_planar_periodic_orbit(spec: BilliardSpec, period: int) -> tuple[float, 
     (advance - 2 pi) over eta in (1e-4, 1 - 1e-4) times the smallest axis
     brackets the closing caustic.
     """
-    if spec.dim != 2 or spec.sigma != 0.0 or np.any(spec.mu_arr != 0):
+    if len(spec.axes) != 2 or spec.sigma != 0.0 or np.any(spec.mu_arr != 0):
         raise ValueError("the shooting search is planar and force-free")
     a = np.sort(spec.a)
     lo = 1e-4 * a[0]

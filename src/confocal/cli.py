@@ -157,8 +157,8 @@ def cmd_simulate(cfg: dict, seed: int, out_dir: Path, as_json: bool) -> int:
 def cmd_billiard(cfg: dict, seed: int, out_dir: Path, as_json: bool) -> int:
     spec, s0, opts = billiard_from_config(cfg, seed)
     orbit = bl.run_orbit(spec, s0, opts["bounces"])
-    header = (["k"] + [f"x{i}" for i in range(spec.dim)]
-              + [f"y{i}" for i in range(spec.dim)] + ["J"])
+    n = len(spec.axes)
+    header = ["k"] + [f"x{i}" for i in range(n)] + [f"y{i}" for i in range(n)] + ["J"]
     rows = []
     for s in orbit.impacts:
         rows.append([float(s.k)] + [float(v) for v in s.x] + [float(v) for v in s.y]
@@ -311,6 +311,8 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be non-negative, got {args.seed}")
         cfg = load_config(args.config) if args.config else {"version": 1}
         seed = args.seed if args.seed is not None else cfg.get("seed", 0)
         out_cfg = cfg.get("output", {})

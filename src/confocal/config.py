@@ -182,6 +182,10 @@ def billiard_from_config(cfg: dict, seed: int) -> tuple[BilliardSpec, ImpactStat
         raise ConfigError(f"billiard: {exc}") from exc
     init = bc.get("initial")
     if init and "x" in init and "y" in init:
+        for key in ("x", "y"):
+            if len(init[key]) != len(spec.axes):
+                raise ConfigError(f"billiard.initial.{key} has {len(init[key])} "
+                                  f"entries, axes {len(spec.axes)}")
         s0 = ImpactState(np.asarray(init["x"], dtype=float),
                          np.asarray(init["y"], dtype=float))
         if abs(spec.boundary_residual(s0.x)) > 1e-8:

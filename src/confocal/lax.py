@@ -277,22 +277,19 @@ class IntegralFamily:
     per-group sums, `P` the in-group rotational invariants (zero for
     singleton groups), `P_pairs` the in-group pairwise invariants keyed
     (group, i, j), and `L_chain` their nested partial sums keyed (group, k).
-    `g` carries the bilinear integrals of the paired flow, `charges` the
-    angular momenta and `J` the scaled spectral integral of the complex flow.
-    `relation_residual` is the difference of the two sides of the pole-sum
-    identity tying ftilde, P and the charges together.  For a stack of
-    states every entry carries the stack's leading axis.
+    `charges` carries the angular momenta and `J` the scaled spectral
+    integral of the complex flow.  `relation_residual` is the difference of
+    the two sides of the pole-sum identity tying ftilde, P and the charges
+    together.  For a stack of states every entry carries the stack's
+    leading axis.
     """
 
-    partition: tuple[tuple[int, ...], ...]
-    group_values: np.ndarray
     H: float
     f: np.ndarray | None
     ftilde: np.ndarray
     P: np.ndarray
     P_pairs: dict
     L_chain: dict
-    g: np.ndarray | None = None
     charges: np.ndarray | None = None
     J: float | None = None
     relation_residual: float | None = None
@@ -344,12 +341,9 @@ def integral_family(sys: SystemSpec, s: PhaseState) -> IntegralFamily:
             f[..., i] = loc[..., i] + sum(P_tab[..., i, j] / (a[i] - a[j])
                                           for j in range(a.size) if j != i)
     H = 0.5 * ftilde.sum(axis=-1)
-    g = None
     charges = None
     J = None
     rel = None
-    if sys.kind == "double_jacobi":
-        g = s.y * s.xi - s.x * s.eta
     if sys.kind == "complex_jacobi":
         charges = (np.conj(s.x) * s.y).imag
         J = (_pair(s.y / a, s.y) - sys.sigma) * _pair(s.x / a**2, s.x)
@@ -359,8 +353,7 @@ def integral_family(sys: SystemSpec, s: PhaseState) -> IntegralFamily:
         rhs = (_poly_part(sys, 0.0) + (P / alpha**2).sum(axis=-1)
                + float((mu**2 / a**2).sum()))
         rel = lhs - rhs
-    return IntegralFamily(part, alpha, H, f, ftilde, P, P_pairs, L_chain,
-                          g, charges, J, rel)
+    return IntegralFamily(H, f, ftilde, P, P_pairs, L_chain, charges, J, rel)
 
 
 def det_L(sys: SystemSpec, s: PhaseState, lam: float):
@@ -373,10 +366,11 @@ def spectral_expansion(sys: SystemSpec, s: PhaseState, lam: float) -> float:
     sum P/(lam-alpha)^2 + sum mu_i^2/(lam-a_i)^2."""
     _pole_guard(sys.a, lam)
     fam = integral_family(sys, s)
+    alpha = sys.ellipsoid.group_values
     mu = sys.mu_arr
     val = _poly_part(sys, lam)
-    val += float((fam.ftilde / (lam - fam.group_values)).sum())
-    val += float((fam.P / (lam - fam.group_values) ** 2).sum())
+    val += float((fam.ftilde / (lam - alpha)).sum())
+    val += float((fam.P / (lam - alpha) ** 2).sum())
     val += float((mu**2 / (lam - sys.a) ** 2).sum())
     return val
 

@@ -85,12 +85,9 @@ def _recurrence(a: list, x: list, m: int) -> tuple[list, list, list]:
     return Vs, Fs, gVs
 
 
-def rosochatius_eval(axes, x, s: int, degree: int) -> tuple[float, np.ndarray]:
-    """Inverse-square (degree -1) or inverse-quartic (degree -2) basis element.
-
-    Returns the potential value anchored at coordinate s and the per-axis
-    shares F_{s,i}; the share at i = s closes the sum, F_{s,s} = V - sum_{i!=s}.
-    """
+def rosochatius_eval(axes, x, s: int, degree: int) -> float:
+    """Inverse-square (degree -1) or inverse-quartic (degree -2) basis
+    element anchored at coordinate s."""
     a = np.asarray(axes, dtype=float)
     x = np.asarray(x, dtype=float)
     if x.shape != a.shape:
@@ -99,22 +96,15 @@ def rosochatius_eval(axes, x, s: int, degree: int) -> tuple[float, np.ndarray]:
         raise IndexError("anchor index out of range")
     if x[s] == 0.0:
         raise ValueError("anchor coordinate vanishes")
-    others = np.arange(a.size) != s
     if degree == -1:
-        V = 1.0 / x[s] ** 2
-        F = np.zeros(a.size)
-        F[others] = x[others] ** 2 / x[s] ** 2 / (a[others] - a[s])
-    elif degree == -2:
-        if np.any(a[others] == a[s]):
-            raise ValueError("inverse-quartic element needs a distinct anchor axis")
-        bracket = 1.0 + (x[others] ** 2 / (a[s] - a[others])).sum()
-        V = bracket / x[s] ** 4
-        F = np.zeros(a.size)
-        F[others] = 2.0 * x[others] ** 2 * bracket / x[s] ** 4 / (a[others] - a[s])
-    else:
+        return float(1.0 / x[s] ** 2)
+    if degree != -2:
         raise ValueError("degree must be -1 or -2")
-    F[s] = V - F[others].sum()
-    return float(V), F
+    others = np.arange(a.size) != s
+    if np.any(a[others] == a[s]):
+        raise ValueError("inverse-quartic element needs a distinct anchor axis")
+    bracket = 1.0 + (x[others] ** 2 / (a[s] - a[others])).sum()
+    return float(bracket / x[s] ** 4)
 
 
 _FD_OFFS = (-2.0, -1.0, 1.0, 2.0)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .billiard import ORACLE_T_MAX
 from .dynamics import PhaseState, SystemSpec
 
 # keep charged coordinates comfortably away from their singular hyperplane
@@ -103,7 +104,10 @@ def random_impact_state(axes, sigma: float, mu, seed_or_rng=0, speed: float = 1.
 
     Charged coordinates are kept positive and away from zero; for sigma > 0
     the speed is raised until the kinetic energy at the farthest boundary
-    point stays positive, so the orbit keeps returning to the boundary.
+    point stays positive, so the orbit keeps returning to the boundary.  Any
+    speed below 4 sqrt(max a) / ORACLE_T_MAX is raised to it, so that a free
+    chord (at most 2 sqrt(max a) long) takes at most half the oracle's
+    flight limit.
     """
     rng = _rng(seed_or_rng)
     a = np.asarray(axes, dtype=float)
@@ -125,4 +129,7 @@ def random_impact_state(axes, sigma: float, mu, seed_or_rng=0, speed: float = 1.
         need = 0.5 * sigma * np.max(a) + 1e-3
         if h <= need:
             y = y * np.sqrt(2.0 * (need + 0.5) / (y @ y))
+    floor = 4.0 * np.sqrt(np.max(a)) / ORACLE_T_MAX
+    if y @ y < floor * floor:
+        y = y * (floor / np.sqrt(y @ y))
     return x, y

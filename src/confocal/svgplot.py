@@ -41,22 +41,25 @@ def _polyline(frame: Frame, pts, stroke: str, width: float = 1.0,
             f'{extra} points="{body}" />')
 
 
-def boundary_ellipse_points(axes, n: int = 256) -> np.ndarray:
+N_SAMPLES = 256  # segments of each sampled curve
+
+
+def boundary_ellipse_points(axes) -> np.ndarray:
     a = np.asarray(axes, dtype=float)
-    t = np.linspace(0.0, 2.0 * np.pi, n + 1)
+    t = np.linspace(0.0, 2.0 * np.pi, N_SAMPLES + 1)
     return np.column_stack([np.sqrt(a[0]) * np.cos(t), np.sqrt(a[1]) * np.sin(t)])
 
 
-def confocal_conic_points(axes, eta: float, n: int = 256) -> list[np.ndarray]:
+def confocal_conic_points(axes, eta: float) -> list[np.ndarray]:
     """Sampled branches of the confocal conic with parameter eta (planar)."""
     a = np.asarray(axes, dtype=float)[:2]
     d = a - eta
     if d[0] > 0 and d[1] > 0:
-        t = np.linspace(0.0, 2.0 * np.pi, n + 1)
+        t = np.linspace(0.0, 2.0 * np.pi, N_SAMPLES + 1)
         return [np.column_stack([np.sqrt(d[0]) * np.cos(t), np.sqrt(d[1]) * np.sin(t)])]
     if d[0] * d[1] < 0:
         # hyperbola: x^2/p - y^2/q = 1 after ordering the positive denominator
-        t = np.linspace(-2.0, 2.0, n + 1)
+        t = np.linspace(-2.0, 2.0, N_SAMPLES + 1)
         if d[0] > 0:
             p, q = d[0], -d[1]
             b1 = np.column_stack([np.sqrt(p) * np.cosh(t), np.sqrt(q) * np.sinh(t)])

@@ -5,7 +5,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "confocal"
 
 # Raise this bound only on purpose, for a new option whose reason is recorded
 # in CHANGES.md; lower it when an option goes.
-MAX_DEFAULTED_PARAMETERS = 73
+MAX_DEFAULTED_PARAMETERS = 61
 
 
 def defaulted_parameters() -> dict[str, int]:
@@ -29,10 +29,16 @@ def test_defaulted_parameters_stay_within_the_bound():
 
 def test_the_count_reads_known_signatures():
     counts = defaulted_parameters()
-    assert counts["suites.suite_conservation"] == 5
+    assert counts["suites.suite_conservation"] == 4
     assert counts["dynamics.integrate"] == 1
     assert "dynamics.rhs" not in counts
     # gone with the hand-written gradients and the evaluator path of the bracket
     assert "lax.gradient_pair_sum" not in counts
     assert "dynamics.dirac_bracket" not in counts
     assert "billiard.orbit_caustics" not in counts
+    # options with one value in use, now constants
+    assert counts["suites.suite_hierarchy_identities"] == 1  # seed
+    assert counts["suites.suite_reduction_compatibility"] == 3  # seed, T, tol
+    assert counts["billiard.oracle_step"] == 1  # h
+    assert "svgplot.boundary_ellipse_points" not in counts
+    assert "svgplot.confocal_conic_points" not in counts

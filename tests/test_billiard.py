@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from confocal.billiard import (
+    ORACLE_T_MAX,
     BilliardSpec,
     ImpactState,
     boundary_angle,
@@ -17,7 +18,6 @@ from confocal.billiard import (
     orbit_caustics,
     poncelet_detect,
     run_orbit,
-    spectral_matrix,
     tangent_directions,
     tangent_state,
 )
@@ -31,6 +31,7 @@ from confocal.errors import (
     SingularAxisError,
 )
 from confocal.geometry import tangency_value
+from confocal.lax import LaxPair2
 from confocal.sampling import random_impact_state
 
 
@@ -242,11 +243,14 @@ class TestOracleStep:
                    - energy(spec, PhaseState(s.x, s.y))) < 1e-9
         assert impact_invariant(spec, so) < 0.0  # outgoing again
 
-    def test_time_budget_exhaustion(self):
+    def test_time_budget_exhaustion(self, monkeypatch):
+        import confocal.billiard as bl
+
         spec = BilliardSpec((2.0, 1.0))
         x, y = random_impact_state(spec.axes, 0.0, spec.mu, 12)
+        monkeypatch.setattr(bl, "ORACLE_T_MAX", 1e-3)
         with pytest.raises(EscapeError):
-            oracle_step(spec, ImpactState(x, y), t_max=1e-3)
+            oracle_step(spec, ImpactState(x, y))
 
     def test_charged_flight_samples_stay_in_domain(self):
         spec = BilliardSpec((2.0, 1.0), sigma=0.4, mu=(0.0, 0.3))
@@ -338,7 +342,7 @@ class TestOracleKernel:
     def test_spec_is_the_free_jr_system(self):
         spec = BilliardSpec((2.0, 1.0, 0.6), sigma=0.3)
         assert isinstance(spec, SystemSpec) and spec.kind == "free_jr"
-        assert spec.mu == (0.0, 0.0, 0.0) and spec.dim == 3
+        assert spec.mu == (0.0, 0.0, 0.0) and len(spec.axes) == 3
         flow = SystemSpec("free_jr", (2.0, 1.0, 0.6), sigma=0.3, mu=(0.0, 0.0, 0.0))
         assert [getattr(spec, f) for f in ("axes", "sigma", "sigmas", "mu")] == \
             [getattr(flow, f) for f in ("axes", "sigma", "sigmas", "mu")]
@@ -371,6 +375,18 @@ class TestOracleKernel:
         assert len(calls) == 36  # 18 cases x 2 bounces, no resample at seed 0
         assert all(r.passed for r in recs)
 
+    def test_slow_draw_lands_within_the_flight_limit(self):
+        # at seed 518 the planar uncharged sigma = 0 case draws |y| = 0.0029,
+        # whose chord would take about 500 time units; the sampler's speed
+        # floor keeps every free chord within half of ORACLE_T_MAX
+        recs = suites.suite_billiard_oracle(seed=518, bounces=1)
+        assert len(recs) == 18 and all(r.passed for r in recs)
+        rng = np.random.default_rng(0)
+        for axes in ((2.0, 1.0), (2.0, 1.0, 0.6)):
+            for _ in range(200):
+                _, y = random_impact_state(axes, 0.0, (), rng, speed=1e-3)
+                assert np.sqrt(y @ y) >= 4.0 * np.sqrt(2.0) / ORACLE_T_MAX * (1 - 1e-12)
+
 
 class TestDiscreteConjugation:
     def test_determinant_invariance_along_orbit(self):
@@ -395,7 +411,7 @@ class TestDiscreteConjugation:
         s = ImpactState(x, y)
         s1 = jr_step(spec, s)
         for state in (s, s1):
-            L = spectral_matrix(spec, state).L(0.37)
+            L = LaxPair2(spec, state.x, state.y).L(0.37)
             assert abs(L[0, 0] + L[1, 1]) < 1e-13
 
     def test_chargeless_sign_flip_leaves_the_residual_unchanged(self):

@@ -334,6 +334,36 @@ billiard:
 """)
         assert main(["billiard", "--config", cfg, "--out", "/tmp/xx-bil"]) == 2
 
+    @pytest.mark.parametrize("key", ["x", "y"])
+    def test_initial_vector_of_the_wrong_length_is_a_config_error(self, tmp_path,
+                                                                 capsys, key):
+        init = {"x": [1.4142135623730951, 0.0], "y": [-1.0, 0.0]}
+        init[key] = init[key][:1]
+        cfg = write(tmp_path / "cfg.yaml", f"""\
+version: 1
+billiard:
+  axes: [2.0, 1.0]
+  initial: {json.dumps(init)}
+""")
+        assert main(["billiard", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"billiard.initial.{key} has 1 entries" in err and "Traceback" not in err
+
+
+class TestSeedFlag:
+    @pytest.mark.parametrize("command,config", [
+        ("simulate", "system: {kind: jacobi, axes: [1.0, 2.0, 3.0], sigma: 0.5}\n"
+                     "integrator: {h: 1.0e-3, T: 0.01}\n"),
+        ("billiard", "billiard: {axes: [2.0, 1.0], bounces: 2}\n"),
+        ("verify", "suites: [hierarchy-identities]\n"),
+    ], ids=["simulate", "billiard", "verify"])
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys, command, config):
+        cfg = write(tmp_path / "cfg.yaml", "version: 1\n" + config)
+        argv = [command, "--config", cfg, "--seed", "-1", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "--seed must be non-negative" in err and "Traceback" not in err
+
 
 class TestVerifyCommand:
     def test_selected_suite_runs_and_reports(self, tmp_path, capsys):

@@ -81,31 +81,15 @@ class TestHierarchyRecurrence:
 class TestRosochatius:
     def test_inverse_square_value(self):
         x = np.array([0.7, 2.0, 1.1])
-        V, _ = rosochatius_eval(AXES, x, 1, -1)
-        assert V == 0.25
-
-    def test_share_sums_close_for_both_degrees(self):
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            x = rng.uniform(0.3, 1.5, size=3)
-            for s in range(3):
-                for deg in (-1, -2):
-                    V, F = rosochatius_eval(AXES, x, s, deg)
-                    np.testing.assert_allclose(F.sum(), V, rtol=1e-12)
+        assert rosochatius_eval(AXES, x, 1, -1) == 0.25
 
     def test_two_coordinate_hand_expansion(self):
         # n = 1 case expanded by hand at a frozen point:
-        # V = (1 + x1^2/(a0-a1)) / x0^4, off-anchor share
-        # F_{0,1} = 2 x1^2 (1 + x1^2/(a0-a1)) / ((a1-a0) x0^4)
+        # V = (1 + x1^2/(a0-a1)) / x0^4
         a = np.array([2.0, 1.0])
         x = np.array([0.8, 1.3])
-        V, F = rosochatius_eval(a, x, 0, -2)
-        bracket = 1.0 + 1.3**2 / (2.0 - 1.0)
-        V_hand = bracket / 0.8**4
-        F1_hand = 2.0 * 1.3**2 * bracket / ((1.0 - 2.0) * 0.8**4)
-        np.testing.assert_allclose(V, V_hand, rtol=1e-14)
-        np.testing.assert_allclose(F[1], F1_hand, rtol=1e-14)
-        np.testing.assert_allclose(F[0], V_hand - F1_hand, rtol=1e-14)
+        V_hand = (1.0 + 1.3**2 / (2.0 - 1.0)) / 0.8**4
+        np.testing.assert_allclose(rosochatius_eval(a, x, 0, -2), V_hand, rtol=1e-14)
 
     def test_zero_anchor_rejected(self):
         with pytest.raises(ValueError):
@@ -147,7 +131,7 @@ class TestBertrandDarboux:
 
         def combo(p):
             t = hierarchy_eval(AXES, p, 3)
-            vr, _ = rosochatius_eval(AXES, p, 2, -1)
+            vr = rosochatius_eval(AXES, p, 2, -1)
             return 0.5 * t.V[1] + 0.25 * t.V[2] + 1.5 * vr
 
         assert np.max(np.abs(bd_residual(AXES, combo, x))) < 1e-6
@@ -157,7 +141,7 @@ class TestBertrandDarboux:
         for _ in range(5):
             x = rng.uniform(0.4, 1.2, size=3) * rng.choice([-1.0, 1.0], size=3)
             comps = [lambda p, k=k: hierarchy_eval(AXES, p, 4).V[k] for k in range(4)]
-            comps += [lambda p, s=s: rosochatius_eval(AXES, p, s, -2)[0] for s in range(3)]
+            comps += [lambda p, s=s: rosochatius_eval(AXES, p, s, -2) for s in range(3)]
             got = bd_residual(AXES, lambda p: np.array([c(p) for c in comps]), x)
             assert got.shape == (3, len(comps))
             for col, c in enumerate(comps):
