@@ -30,6 +30,10 @@ from .lax import LaxPair2, clearing_exponents, lambda_samples, psi_poly, real_ro
 GRAZE_TOL = 1e-8
 MAP_TOL = 1e-12  # smallest admissible nu^2 of the bounce map
 ORACLE_T_MAX = 100.0  # longest flight the oracle integrates before EscapeError
+ORACLE_TOL = 1e-11  # largest embedded error estimate of an accepted oracle step
+ORACLE_H_MAX = 1.6e-2  # longest oracle step
+ORACLE_H_GRAZE = ORACLE_H_MAX / 32  # longest step over a maximum of <x, a^-1 x>
+ORACLE_H_MIN = ORACLE_H_MAX / 2**30  # shortest oracle step
 
 
 class BilliardSpec(SystemSpec):
@@ -151,15 +155,19 @@ def fedorov_step(spec: BilliardSpec, z, p):
 # ---------------------------------------------------------------------------
 
 def _rk4_floats(x: list, y: list, dt: float, sig: float, mu2: list,
-                axes: tuple) -> tuple[list, list, float]:
+                axes: tuple) -> tuple[list, list, float, float, float]:
     """One classical RK4 step of x'' = -sig x + mu^2/x^3 on lists of floats.
 
     The flow acts on each coordinate separately, so the step loops over the
     coordinates; mu2[j] is None on a chargeless coordinate.  Also returns
-    <x_new, a^-1 x_new>, summed in coordinate order.
+    q = <x_new, a^-1 x_new> and d = <x_new, a^-1 y_new>, each summed in
+    coordinate order, and the embedded error estimate
+    err = dt/6 max_j max(|k4x - y_new|, |k4y - accel(x_new)|): the
+    difference from the third-order solution with weights
+    (1/6, 1/3, 1/3, 0, 1/6) whose fifth stage is taken at the new state.
     """
     half, sixth = 0.5 * dt, dt / 6.0
-    xn, yn, q = [], [], 0.0
+    xn, yn, q, d, e = [], [], 0.0, 0.0, 0.0
     for xj, yj, m2, aj in zip(x, y, mu2, axes):
         k1y = -sig * xj if m2 is None else -sig * xj + m2 / xj**3
         k2x, v = yj + half * k1y, xj + half * yj
@@ -169,47 +177,81 @@ def _rk4_floats(x: list, y: list, dt: float, sig: float, mu2: list,
         k4x, v = yj + dt * k3y, xj + dt * k3x
         k4y = -sig * v if m2 is None else -sig * v + m2 / v**3
         x1 = xj + sixth * (yj + 2 * k2x + 2 * k3x + k4x)
+        y1 = yj + sixth * (k1y + 2 * k2y + 2 * k3y + k4y)
+        k5y = -sig * x1 if m2 is None else -sig * x1 + m2 / x1**3
+        r = abs(k4x - y1)
+        if r > e:
+            e = r
+        r = abs(k4y - k5y)
+        if r > e:
+            e = r
         xn.append(x1)
-        yn.append(yj + sixth * (k1y + 2 * k2y + 2 * k3y + k4y))
+        yn.append(y1)
         q += x1 / aj * x1
-    return xn, yn, q
+        d += x1 / aj * y1
+    return xn, yn, q, sixth * e, d
 
 
-def oracle_step(spec: BilliardSpec, s: ImpactState, h: float = 4e-3) -> ImpactState:
+def oracle_step(spec: BilliardSpec, s: ImpactState) -> ImpactState:
     """One bounce by integrating the free flow and reflecting at the boundary.
 
-    The crossing is bracketed by scanning with step h/4 and then located by
-    bisection in time to 1e-12; the momentum reflects in the boundary normal.
+    The flight is integrated with step control until a step ends on or
+    outside the boundary; the crossing is then located by bisection in time
+    to 1e-12, and the momentum reflects in the boundary normal.
 
-    The scan and the bisection run on plain Python floats: on vectors of two
-    or three entries a numpy call costs more than its arithmetic, and the
-    float form makes a bounce more than ten times cheaper.  The step keeps
-    the array form's order of operations, (-sigma x) + mu^2/x^3 on charged
-    coordinates only, (dt/2) k, (dt/6)(k1 + 2 k2 + 2 k3 + k4), so that its
-    results differ from the array form's only in the last bit, where numpy's
-    cube and dot product round differently from `pow` and a sequential sum.
-    numpy returns for the final normalisation and reflection.  A charged
-    coordinate that reaches its axis raises SingularAxisError, and a flight
-    longer than ORACLE_T_MAX raises EscapeError.
+    Step rule: steps are ORACLE_H_MAX / 2^k, starting at ORACLE_H_MAX.  A
+    step whose embedded estimate exceeds ORACLE_TOL is halved and retried;
+    the first accepted step that ends with <x, a^-1 x> >= 1 goes to the
+    bisection; an accepted step with an estimate below ORACLE_TOL/32 doubles
+    the next one, up to ORACLE_H_MAX.  Grazing guard: a step over which
+    <x, a^-1 y> goes from positive to <= 0 without crossing holds a maximum
+    of the boundary function, where a long step could jump over a brief
+    exit; it is halved while longer than ORACLE_H_MAX/32, the resolution of
+    the former fixed scan.  A step that would be halved below ORACLE_H_MIN
+    raises SingularAxisError.  The steps are powers of two rather than
+    dt (tol/err)^(1/4) so that the accept and reject decisions, not the
+    step lengths, are all that can differ between two transcriptions of the
+    rule: the array-form reference in the tests then agrees to rounding.
+
+    The integration and the bisection run on plain Python floats: on
+    vectors of two or three entries a numpy call costs more than its
+    arithmetic.  The step keeps the array form's order of operations,
+    (-sigma x) + mu^2/x^3 on charged coordinates only, (dt/2) k,
+    (dt/6)(k1 + 2 k2 + 2 k3 + k4), so that its results differ from the
+    array form's only in the last bit, where numpy's cube and dot product
+    round differently from `pow` and a sequential sum.  numpy returns for
+    the final normalisation and reflection.  A charged coordinate that
+    reaches its axis raises SingularAxisError, and a flight longer than
+    ORACLE_T_MAX raises EscapeError.
     """
     J = impact_invariant(spec, s)
     if J > -GRAZE_TOL:
         raise GrazingOrSingularError("oracle needs a transversally inward momentum")
     axes, sig = spec.axes, spec.sigma
     mu2 = [m * m if m != 0.0 else None for m in spec.mu]
-    hs = h / 4.0
     x, y = s.x.tolist(), s.y.tolist()
-    t = 0.0
+    t, h, d = 0.0, ORACLE_H_MAX, 0.5 * J
     try:
         while t < ORACLE_T_MAX:
-            xn, yn, q = _rk4_floats(x, y, hs, sig, mu2, axes)
-            if q - 1.0 >= 0.0:
+            xn, yn, q, err, dn = _rk4_floats(x, y, h, sig, mu2, axes)
+            if err > ORACLE_TOL:
+                if h <= ORACLE_H_MIN:
+                    raise SingularAxisError(
+                        f"oracle step fell below {ORACLE_H_MIN:.3e} at t={t}")
+                h *= 0.5
+                continue
+            if q >= 1.0:
                 break
-            x, y, t = xn, yn, t + hs
+            if d > 0.0 >= dn and h > ORACLE_H_GRAZE:
+                h *= 0.5
+                continue
+            x, y, t, d = xn, yn, t + h, dn
+            if err < ORACLE_TOL / 32.0 and h < ORACLE_H_MAX:
+                h *= 2.0
         else:
             raise EscapeError(f"no boundary crossing within t_max={ORACLE_T_MAX}")
         # bisect the fraction of the last step, integrating afresh from its start
-        lo, hi = 0.0, hs
+        lo, hi = 0.0, h
         for _ in range(64):
             mid = 0.5 * (lo + hi)
             if _rk4_floats(x, y, mid, sig, mu2, axes)[2] - 1.0 >= 0.0:
@@ -218,7 +260,7 @@ def oracle_step(spec: BilliardSpec, s: ImpactState, h: float = 4e-3) -> ImpactSt
                 lo = mid
             if hi - lo < 1e-12:
                 break
-        xh, yh, _ = _rk4_floats(x, y, hi, sig, mu2, axes)
+        xh, yh = _rk4_floats(x, y, hi, sig, mu2, axes)[:2]
     except (ZeroDivisionError, OverflowError) as exc:
         raise SingularAxisError("charged coordinate reached its axis in flight") from exc
     a = spec.a

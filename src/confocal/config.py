@@ -149,9 +149,18 @@ def system_from_config(cfg: dict) -> SystemSpec:
         raise ConfigError(f"system: {exc}") from exc
 
 
+def _require_x_and_y(init: dict, where: str) -> bool:
+    """Whether `init` gives a state; a partial one is a config error rather
+    than a silent fall-back to a random draw."""
+    given = sorted(init.keys() & {"x", "y", "xi", "eta"})
+    if given and not {"x", "y"} <= init.keys():
+        raise ConfigError(f"{where} gives {', '.join(given)} but needs both x and y")
+    return bool(given)
+
+
 def initial_states(cfg: dict, sys: SystemSpec, seed: int) -> list[PhaseState]:
     init = cfg.get("initial", {})
-    if "x" in init and "y" in init:
+    if _require_x_and_y(init, "initial"):
         for key in ("x", "y", "xi", "eta"):
             if key in init and len(init[key]) != len(sys.axes):
                 raise ConfigError(f"initial.{key} has {len(init[key])} entries, "
@@ -180,8 +189,8 @@ def billiard_from_config(cfg: dict, seed: int) -> tuple[BilliardSpec, ImpactStat
                             mu=tuple(bc.get("mu", ())))
     except Exception as exc:
         raise ConfigError(f"billiard: {exc}") from exc
-    init = bc.get("initial")
-    if init and "x" in init and "y" in init:
+    init = bc.get("initial", {})
+    if _require_x_and_y(init, "billiard.initial"):
         for key in ("x", "y"):
             if len(init[key]) != len(spec.axes):
                 raise ConfigError(f"billiard.initial.{key} has {len(init[key])} "

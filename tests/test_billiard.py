@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from confocal.billiard import (
+    ORACLE_H_MAX,
     ORACLE_T_MAX,
+    ORACLE_TOL,
     BilliardSpec,
     ImpactState,
     boundary_angle,
@@ -252,6 +254,35 @@ class TestOracleStep:
         with pytest.raises(EscapeError):
             oracle_step(spec, ImpactState(x, y))
 
+    def test_near_grazing_exit_is_not_stepped_over(self):
+        # sigma > 0 closed-form arc through a maximum p of <x, a^-1 x> just
+        # outside the boundary: it exits by about 5.5e-7 for 5e-3 time units
+        # around t = -pi/w, where it is launched near -p, and again around
+        # t = 0.  A step over the maximum at p that ends inside would miss
+        # that exit and land on a later crossing, about 2.5 away from the map
+        spec = BilliardSpec((2.0, 1.0), sigma=0.3)
+        a, w = spec.a, np.sqrt(spec.sigma)
+        p = np.sqrt(1.0 + 1.1e-6) * boundary_point(a, 0.5)
+        # <x(t), a^-1 x(t)> = bp cos^2(wt) + vv sin^2(wt) with v tangent to
+        # the level set at p
+        bp, vv = (p / a) @ p, 0.413
+        v = np.array([-p[1] / a[1], p[0] / a[0]])
+        v *= np.sqrt(vv * spec.sigma / ((v / a) @ v))
+        half = np.arccos(np.sqrt((1.0 - vv) / (bp - vv))) / w
+        t0 = -np.pi / w + half
+        x0 = np.cos(w * t0) * p + np.sin(w * t0) / w * v
+        y0 = -w * np.sin(w * t0) * p + np.cos(w * t0) * v
+        s = ImpactState(x0 / np.sqrt((x0 / a) @ x0), y0)
+        assert -1e-3 < impact_invariant(spec, s) < -5e-4
+        # inside from the launch to the brief exit at relative time -half - t0
+        arc = flight(spec, s, np.linspace(0.0, -half - t0, 201)[1:-1])
+        assert np.all((arc / a * arc).sum(axis=1) < 1.0)
+        assert 2 * half == pytest.approx(5e-3, rel=1e-3)
+        s1, so = jr_step(spec, s), oracle_step(spec, s)
+        np.testing.assert_allclose(so.x, s1.x, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(so.y, s1.y, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(s1.x, p / np.sqrt(bp), rtol=0, atol=1e-2)
+
     def test_charged_flight_samples_stay_in_domain(self):
         spec = BilliardSpec((2.0, 1.0), sigma=0.4, mu=(0.0, 0.3))
         x, y = random_impact_state(spec.axes, 0.4, spec.mu, 13, speed=1.5)
@@ -260,10 +291,10 @@ class TestOracleStep:
         assert np.all((pts[1:-1] / spec.a * pts[1:-1]).sum(axis=1) < 1.0 + 1e-9)
 
 
-def oracle_step_numpy(spec, s, h=4e-3, t_max=100.0):
-    """Reference: the array form of `oracle_step`'s scan and bisection, one
-    numpy RK4 step per h/4, kept to catch a transcription slip in the float
-    kernel."""
+def oracle_step_numpy(spec, s):
+    """Reference: the array form of `oracle_step`'s step rule, grazing guard,
+    step floor and bisection, one numpy RK4 step with its embedded estimate
+    per trial step, kept to catch a transcription slip in the float kernel."""
     a = spec.a
     mu2 = spec.mu_arr**2
     nz = spec.mu_arr != 0
@@ -280,31 +311,44 @@ def oracle_step_numpy(spec, s, h=4e-3, t_max=100.0):
         k2x, k2y = y + 0.5 * dt * k1y, accel(x + 0.5 * dt * k1x)
         k3x, k3y = y + 0.5 * dt * k2y, accel(x + 0.5 * dt * k2x)
         k4x, k4y = y + dt * k3y, accel(x + dt * k3x)
-        return (x + dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x),
-                y + dt / 6.0 * (k1y + 2 * k2y + 2 * k3y + k4y))
+        x1 = x + dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
+        y1 = y + dt / 6.0 * (k1y + 2 * k2y + 2 * k3y + k4y)
+        err = dt / 6.0 * max(np.max(np.abs(k4x - y1)), np.max(np.abs(k4y - accel(x1))))
+        return x1, y1, err
 
-    hs = h / 4.0
+    h_max = ORACLE_H_MAX
     x, y = s.x.copy(), s.y.copy()
-    t = 0.0
+    t, h, d = 0.0, h_max, (x / a) @ y
     crossed = False
-    while t < t_max:
-        xn, yn = step(x, y, hs)
+    while t < ORACLE_T_MAX:
+        xn, yn, err = step(x, y, h)
+        if err > ORACLE_TOL:
+            if h <= h_max / 2**30:
+                raise SingularAxisError("reference step below the floor")
+            h /= 2
+            continue
         if (xn / a) @ xn - 1.0 >= 0.0:
             crossed = True
             break
-        x, y, t = xn, yn, t + hs
+        dn = (xn / a) @ yn
+        if d > 0.0 >= dn and h > h_max / 32:
+            h /= 2
+            continue
+        x, y, t, d = xn, yn, t + h, dn
+        if err < ORACLE_TOL / 32 and h < h_max:
+            h *= 2
     assert crossed, "reference found no crossing"
-    lo, hi = 0.0, hs
+    lo, hi = 0.0, h
     for _ in range(64):
         mid = 0.5 * (lo + hi)
-        xm, _ = step(x, y, mid)
+        xm, _, _ = step(x, y, mid)
         if (xm / a) @ xm - 1.0 >= 0.0:
             hi = mid
         else:
             lo = mid
         if hi - lo < 1e-12:
             break
-    xh, yh = step(x, y, hi)
+    xh, yh, _ = step(x, y, hi)
     xh = xh / np.sqrt((xh / a) @ xh)
     n = xh / a
     y1 = yh - 2.0 * ((yh @ n) / (n @ n)) * n
@@ -323,8 +367,8 @@ class TestOracleKernel:
                     spec = BilliardSpec(base, sigma=sigma, mu=mu)
                     x, y = random_impact_state(base, sigma, mu, rng, speed=1.3)
                     s = ImpactState(x, y)
-                    got = oracle_step(spec, s, h=2e-3)
-                    ref = oracle_step_numpy(spec, s, h=2e-3)
+                    got = oracle_step(spec, s)
+                    ref = oracle_step_numpy(spec, s)
                     np.testing.assert_allclose(got.x, ref.x, rtol=0, atol=1e-13)
                     np.testing.assert_allclose(got.y, ref.y, rtol=0, atol=1e-13)
                     assert got.k == ref.k == 1
@@ -356,6 +400,27 @@ class TestOracleKernel:
         with pytest.raises(SingularAxisError):
             oracle_step(spec, s)
 
+    def test_step_floor_raises_singular_axis(self, monkeypatch):
+        # a charged coordinate 1e-6 from its axis turns within ~1e-11 time
+        # units, so every step fails the estimate down to ORACLE_H_MAX/2^30
+        import confocal.billiard as bl
+
+        spec = BilliardSpec((2.0, 1.0), sigma=0.3, mu=(0.0, 0.25))
+        s = ImpactState(np.array([np.sqrt(2.0 * (1.0 - 1e-12)), 1e-6]),
+                        np.array([-1.0, 0.2]))
+        steps = []
+        inner = bl._rk4_floats
+
+        def counted(x, y, dt, *rest):
+            steps.append(dt)
+            return inner(x, y, dt, *rest)
+
+        monkeypatch.setattr(bl, "_rk4_floats", counted)
+        with pytest.raises(SingularAxisError, match="fell below") as info:
+            oracle_step(spec, s)
+        assert info.value.__cause__ is None  # the floor, not a division by zero
+        assert steps == [ORACLE_H_MAX / 2**k for k in range(31)]
+
     def test_suite_calls_oracle_step_once_per_compared_bounce(self, monkeypatch):
         # the benchmark counts compared bounces by wrapping billiard.oracle_step;
         # a suite that bypassed it would report every case as comparing nothing
@@ -374,6 +439,17 @@ class TestOracleKernel:
         assert len(recs) == 18
         assert len(calls) == 36  # 18 cases x 2 bounces, no resample at seed 0
         assert all(r.passed for r in recs)
+
+    def test_case_that_compares_no_bounce_fails(self, monkeypatch):
+        import confocal.billiard as bl
+
+        def refuse(spec, s):
+            raise GrazingOrSingularError("refused")
+
+        monkeypatch.setattr(bl, "oracle_step", refuse)
+        recs = suites.suite_billiard_oracle(seed=0, bounces=3)
+        assert len(recs) == 18
+        assert all(r.value == np.inf and not r.passed for r in recs)
 
     def test_slow_draw_lands_within_the_flight_limit(self):
         # at seed 518 the planar uncharged sigma = 0 case draws |y| = 0.0029,

@@ -255,6 +255,21 @@ integrator: {{h: 1.0e-3, T: 0.01}}
         err = capsys.readouterr().err
         assert f"initial.{key} has 2 entries" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("init", ["{x: [1.0, 0.0, 0.0]}", "{y: [0.0, 1.0, 0.0]}",
+                                      "{xi: [1.0, 0.0, 0.0], eta: [0.0, 1.0, 0.0]}"],
+                             ids=["x-only", "y-only", "xi-eta-only"])
+    def test_initial_state_without_x_and_y_is_a_config_error(self, tmp_path, capsys,
+                                                             init):
+        cfg = write(tmp_path / "cfg.yaml", f"""\
+version: 1
+system: {{kind: jacobi, axes: [1.0, 2.0, 3.0], sigma: 0.3}}
+initial: {init}
+integrator: {{h: 1.0e-3, T: 0.01}}
+""")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "but needs both x and y" in err and "Traceback" not in err
+
     def test_drift_gate_failure_sets_exit_code(self, tmp_path):
         cfg = write(tmp_path / "cfg.yaml", f"""\
 version: 1
@@ -332,7 +347,21 @@ billiard:
   axes: [2.0, 1.0]
   initial: {x: [0.3, 0.1], y: [-1.0, 0.0]}
 """)
-        assert main(["billiard", "--config", cfg, "--out", "/tmp/xx-bil"]) == 2
+        assert main(["billiard", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("init", ["{x: [1.4142135623730951, 0.0]}",
+                                      "{y: [-1.0, 0.0]}"], ids=["x-only", "y-only"])
+    def test_initial_point_without_its_momentum_is_a_config_error(self, tmp_path,
+                                                                  capsys, init):
+        cfg = write(tmp_path / "cfg.yaml", f"""\
+version: 1
+billiard:
+  axes: [2.0, 1.0]
+  initial: {init}
+""")
+        assert main(["billiard", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "billiard.initial gives" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("key", ["x", "y"])
     def test_initial_vector_of_the_wrong_length_is_a_config_error(self, tmp_path,
