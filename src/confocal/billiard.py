@@ -25,7 +25,7 @@ from .errors import (
     SingularAxisError,
 )
 from .geometry import _pole_guard, tangency_value
-from .lax import LaxPair2, clearing_exponents, lambda_samples, psi_poly, real_roots
+from .lax import LaxPair2, _mat2, clearing_exponents, lambda_samples, psi_poly, real_roots
 
 GRAZE_TOL = 1e-8
 MAP_TOL = 1e-12  # smallest admissible nu^2 of the bounce map
@@ -302,38 +302,32 @@ def flight(spec: BilliardSpec, s: ImpactState, t):
 # discrete spectral data
 # ---------------------------------------------------------------------------
 
-def _discrete_companion(spec: BilliardSpec, s: ImpactState, s_next: ImpactState,
-                        lam: float) -> np.ndarray:
-    J, K, nu = _map_coefficients(spec, s)
-    pi = J / float((s_next.x / spec.a**2) @ s_next.x)
-    return np.array([[K * lam + J * pi, spec.sigma * J * lam - K * pi],
-                     [-J * lam, K * lam]])
-
-
 def discrete_lax_check(spec: BilliardSpec, s: ImpactState, s_next: ImpactState,
                        lambdas) -> list[dict]:
     """Conjugation-law residuals for one bounce, per sampled parameter.
 
     Checks (a) invariance of det L and (b) the full residual ||L' A - A L||,
-    each evaluated once at s_next.  No search over the sign reflections of
-    the chargeless coordinates is needed: L is quadratic in (x_j, y_j) for
+    each evaluated once at s_next.  The map coefficients are computed once
+    per bounce; the companions A(lam) and both spectral matrices are stacks
+    over the sampled parameters, each entry equal bit for bit to its
+    one-parameter form.  No search over the sign reflections of the
+    chargeless coordinates is needed: L is quadratic in (x_j, y_j) for
     those j, and negating both leaves every product in L bit-for-bit equal.
     """
-    out = []
+    lam = np.asarray(lambdas, dtype=float)
+    if np.any(np.abs(lam) < 1e-12):
+        raise GrazingOrSingularError("companion matrix is singular at lam=0")
+    J, K, _ = _map_coefficients(spec, s)
+    pi = J / float((s_next.x / spec.a**2) @ s_next.x)
+    A = _mat2(K * lam + J * pi, spec.sigma * J * lam - K * pi, -J * lam, K * lam)
     # the free-flow spectral matrices of the two impact states
-    pair0 = LaxPair2(spec, s.x, s.y)
-    pair1 = LaxPair2(spec, s_next.x, s_next.y)
-    for lam in lambdas:
-        if abs(lam) < 1e-12:
-            raise GrazingOrSingularError("companion matrix is singular at lam=0")
-        A = _discrete_companion(spec, s, s_next, lam)
-        L0 = pair0.L(lam)
-        L1 = pair1.L(lam)
-        d0 = L0[0, 0] * L0[1, 1] - L0[0, 1] * L0[1, 0]
-        d1 = L1[0, 0] * L1[1, 1] - L1[0, 1] * L1[1, 0]
-        out.append({"lam": float(lam), "det_drift": abs(float(d1 - d0)),
-                    "conjugation_residual": float(np.max(np.abs(L1 @ A - A @ L0)))})
-    return out
+    L0 = LaxPair2(spec, s.x, s.y).L(lam)
+    L1 = LaxPair2(spec, s_next.x, s_next.y).L(lam)
+    d0 = L0[:, 0, 0] * L0[:, 1, 1] - L0[:, 0, 1] * L0[:, 1, 0]
+    d1 = L1[:, 0, 0] * L1[:, 1, 1] - L1[:, 0, 1] * L1[:, 1, 0]
+    conj = np.max(np.abs(L1 @ A - A @ L0), axis=(-2, -1))
+    return [{"lam": float(t), "det_drift": abs(float(d)), "conjugation_residual": float(c)}
+            for t, d, c in zip(lam, d1 - d0, conj)]
 
 
 # ---------------------------------------------------------------------------

@@ -161,6 +161,8 @@ def _require_x_and_y(init: dict, where: str) -> bool:
 def initial_states(cfg: dict, sys: SystemSpec, seed: int) -> list[PhaseState]:
     init = cfg.get("initial", {})
     if _require_x_and_y(init, "initial"):
+        if "count" in init.get("random", {}):
+            raise ConfigError("initial gives both x/y and random.count; keep one")
         for key in ("x", "y", "xi", "eta"):
             if key in init and len(init[key]) != len(sys.axes):
                 raise ConfigError(f"initial.{key} has {len(init[key])} entries, "

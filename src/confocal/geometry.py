@@ -196,16 +196,22 @@ def _check_interlacing(axes: np.ndarray, lam: np.ndarray) -> None:
 
 
 def _pole_guard(axes, lam) -> None:
-    """Reject a parameter within 1e-10 max(1, max|a|) of an axis."""
+    """Reject a parameter, or any entry of an array of them, within
+    1e-10 max(1, max|a|) of an axis."""
     a = np.asarray(axes, dtype=float)
-    if np.min(np.abs(lam - a)) <= 1e-10 * max(1.0, float(np.max(np.abs(a)))):
+    gap = np.abs(np.asarray(lam)[..., None] - a)
+    if np.min(gap) <= 1e-10 * max(1.0, float(np.max(np.abs(a)))):
         raise PoleError(f"parameter {lam} is too close to an axis")
 
 
-def pole_form(axes, lam, u, v) -> complex | float:
-    """Bilinear form sum_i u_i v_i / (lam - a_i) with simple poles at the axes."""
+def pole_form(axes, lam, u, v) -> complex | float | np.ndarray:
+    """Bilinear form sum_i u_i v_i / (lam - a_i) with simple poles at the axes.
+
+    For an array of parameters the result has its shape, each entry equal
+    bit for bit to the call at that parameter.
+    """
     a = np.asarray(axes, dtype=float)
-    return (np.asarray(u) * np.asarray(v) / (lam - a)).sum()
+    return (np.asarray(u) * np.asarray(v) / (np.asarray(lam)[..., None] - a)).sum(axis=-1)
 
 
 def tangency_value(axes, x, y, eta: float, sigma: float = 0.0):

@@ -13,7 +13,11 @@ state data and evaluates entries at a requested parameter value.
 
 `integral_family` broadcasts over a leading axis of the state's arrays (a
 stack of states, one per row), each row equal bit for bit to the call on
-that row's state; the pairs, determinants and reports take one state.
+that row's state; the pairs, determinants and reports take one state.  The
+small pair's `L` and `det_L`, and `det_L` below, take an array of
+parameters as well as one: the result then carries the array's shape ahead
+of the matrix axes, each entry equal bit for bit to the call at that
+parameter.  `A` and the big pair take one parameter.
 """
 
 from __future__ import annotations
@@ -68,7 +72,8 @@ class LaxPair2:
             return self.xi, self.eta
         return self.x.conj(), self.y.conj()
 
-    def L(self, lam: float) -> np.ndarray:
+    def L(self, lam) -> np.ndarray:
+        """L(lam), shape (2, 2); (k, 2, 2) for an array of k parameters."""
         a = self.sys.a
         _pole_guard(a, lam)
         xi, eta = self._conj_pair()
@@ -78,9 +83,9 @@ class LaxPair2:
         q_xxi = pole_form(a, lam, x, xi)
         q_yxi = pole_form(a, lam, y, xi)
         top = q_yeta + self._force_term(lam)
-        return np.array([[q_xeta, top], [-1.0 - q_xxi, -q_yxi]])
+        return _mat2(q_xeta, top, -1.0 - q_xxi, -q_yxi)
 
-    def _force_term(self, lam: float):
+    def _force_term(self, lam):
         """Upper-right addition beyond the momentum form: charges plus forcing."""
         sys = self.sys
         val = 0.0
@@ -120,9 +125,9 @@ class LaxPair2:
             top = ((sys.sigma - kin - charge) / lam - sys.sigma * den) / den
         return np.array([[0.0, top], [1.0, 0.0]])
 
-    def det_L(self, lam: float):
+    def det_L(self, lam):
         m = self.L(lam)
-        return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+        return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
 
 
 @dataclass
@@ -175,6 +180,21 @@ def build_lax(sys: SystemSpec, s: PhaseState, which: str = "small"):
     return LaxPairBig(sys, x, y, xi, eta)
 
 
+def _commutator(sys: SystemSpec, s: PhaseState, which: str, lam: float) -> np.ndarray:
+    """[L, M] of the small pair, [M*, L*] of the big one, at the state."""
+    pair = build_lax(sys, s, which)
+    L, A = pair.L(lam), pair.A(lam)
+    return L @ A - A @ L if which == "small" else A @ L - L @ A
+
+
+def _central_dL(sys: SystemSpec, s: PhaseState, which: str, lam: float,
+                h: float) -> np.ndarray:
+    """dL/dt at the state by a central difference over RK4 steps of +-h."""
+    pp = build_lax(sys, rk4_step(sys, s, h), which)
+    pm = build_lax(sys, rk4_step(sys, s, -h), which)
+    return (pp.L(lam) - pm.L(lam)) / (2.0 * h)
+
+
 def lax_defect(sys: SystemSpec, s: PhaseState, which: str, lam: float,
                h: float = 1e-5) -> np.ndarray:
     """Matrix dL/dt minus the commutator, dL/dt by a central difference.
@@ -182,15 +202,7 @@ def lax_defect(sys: SystemSpec, s: PhaseState, which: str, lam: float,
     The bracket ordering is [L, M] for the small pairs and [M*, L*] for the
     big one; the defect decays quadratically in h.
     """
-    sp = rk4_step(sys, s, h)
-    sm = rk4_step(sys, s, -h)
-    pair = build_lax(sys, s, which)
-    pp = build_lax(sys, sp, which)
-    pm = build_lax(sys, sm, which)
-    dL = (pp.L(lam) - pm.L(lam)) / (2.0 * h)
-    L, A = pair.L(lam), pair.A(lam)
-    comm = L @ A - A @ L if which == "small" else A @ L - L @ A
-    return dL - comm
+    return _central_dL(sys, s, which, lam, h) - _commutator(sys, s, which, lam)
 
 
 def lax_residual(sys: SystemSpec, s: PhaseState, which: str, lam: float,
@@ -199,11 +211,20 @@ def lax_residual(sys: SystemSpec, s: PhaseState, which: str, lam: float,
 
     With D = `lax_defect`, (4 D(h/2) - D(h)) / 3 cancels the h^2 term of the
     central difference (Richardson, Phil. Trans. A 210, 1911), which leaves
-    the identity's own residual plus O(h^4) and rounding.
+    the identity's own residual plus O(h^4) and rounding.  The two defects
+    share the pair at s and its commutator, so a residual builds five pairs.
     """
-    D = (4.0 * lax_defect(sys, s, which, lam, h / 2.0)
-         - lax_defect(sys, s, which, lam, h)) / 3.0
+    comm = _commutator(sys, s, which, lam)
+    D = (4.0 * (_central_dL(sys, s, which, lam, h / 2.0) - comm)
+         - (_central_dL(sys, s, which, lam, h) - comm)) / 3.0
     return float(np.max(np.abs(D)))
+
+
+def _mat2(m00, m01, m10, m11) -> np.ndarray:
+    """2x2 matrices from entries of one shape: (..., 2, 2), C-contiguous."""
+    m = np.empty(np.shape(m00) + (2, 2), dtype=np.result_type(m00, m01, m10, m11))
+    m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1] = m00, m01, m10, m11
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +377,9 @@ def integral_family(sys: SystemSpec, s: PhaseState) -> IntegralFamily:
     return IntegralFamily(H, f, ftilde, P, P_pairs, L_chain, charges, J, rel)
 
 
-def det_L(sys: SystemSpec, s: PhaseState, lam: float):
-    """det of the small Lax matrix at lam (poles at the axes excluded)."""
+def det_L(sys: SystemSpec, s: PhaseState, lam):
+    """det of the small Lax matrix at lam (poles at the axes excluded); an
+    array of parameters gives an array of determinants."""
     return build_lax(sys, s, "small").det_L(lam)
 
 
@@ -420,9 +442,8 @@ def psi_poly(sys: SystemSpec, s: PhaseState) -> np.ndarray:
     if deg < 0:
         return np.zeros(1)
     pts = lambda_samples(alpha, deg + 1)
-    pair = build_lax(sys, s, "small")
-    vals = np.array([np.real(pair.det_L(t)) * np.prod((t - alpha) ** delta)
-                     for t in pts])
+    vals = (np.real(build_lax(sys, s, "small").det_L(pts))
+            * np.prod((pts[:, None] - alpha) ** delta, axis=-1))
     return np.linalg.solve(np.vander(pts, deg + 1), vals)
 
 

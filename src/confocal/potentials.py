@@ -85,58 +85,36 @@ def _recurrence(a: list, x: list, m: int) -> tuple[list, list, list]:
     return Vs, Fs, gVs
 
 
-def rosochatius_eval(axes, x, s: int, degree: int) -> float:
+def rosochatius_eval(axes, x, s: int, degree: int) -> float | np.ndarray:
     """Inverse-square (degree -1) or inverse-quartic (degree -2) basis
-    element anchored at coordinate s."""
+    element anchored at coordinate s.
+
+    Broadcasts over a leading axis of x, as `hierarchy_eval` does: a float
+    for one point, an array with one value per row for a stack.
+    """
     a = np.asarray(axes, dtype=float)
     x = np.asarray(x, dtype=float)
-    if x.shape != a.shape:
+    if x.shape[-1:] != a.shape:
         raise DimensionError("x must match the axes length")
     if not 0 <= s < a.size:
         raise IndexError("anchor index out of range")
-    if x[s] == 0.0:
+    xs = x[..., s]
+    if np.any(xs == 0.0):
         raise ValueError("anchor coordinate vanishes")
     if degree == -1:
-        return float(1.0 / x[s] ** 2)
-    if degree != -2:
+        val = 1.0 / xs ** 2
+    elif degree == -2:
+        others = np.arange(a.size) != s
+        if np.any(a[others] == a[s]):
+            raise ValueError("inverse-quartic element needs a distinct anchor axis")
+        val = (1.0 + (x[..., others] ** 2 / (a[s] - a[others])).sum(axis=-1)) / xs ** 4
+    else:
         raise ValueError("degree must be -1 or -2")
-    others = np.arange(a.size) != s
-    if np.any(a[others] == a[s]):
-        raise ValueError("inverse-quartic element needs a distinct anchor axis")
-    bracket = 1.0 + (x[others] ** 2 / (a[s] - a[others])).sum()
-    return float(bracket / x[s] ** 4)
+    return float(val) if x.ndim == 1 else val
 
 
 _FD_OFFS = (-2.0, -1.0, 1.0, 2.0)
 _FD_WTS = (1.0 / 12.0, -8.0 / 12.0, 8.0 / 12.0, -1.0 / 12.0)
-
-
-def _fd1(func, x: np.ndarray, i: int, h: float):
-    """Five-point central first derivative in coordinate i."""
-    e = np.zeros_like(x)
-    e[i] = 1.0
-    return sum(w * func(x + o * h * e) for o, w in zip(_FD_OFFS, _FD_WTS)) / h
-
-
-def _fd2_diag(func, x: np.ndarray, i: int, h: float):
-    """Fourth-order central second derivative in coordinate i."""
-    e = np.zeros_like(x)
-    e[i] = 1.0
-    return (-func(x + 2 * h * e) + 16 * func(x + h * e) - 30 * func(x)
-            + 16 * func(x - h * e) - func(x - 2 * h * e)) / (12 * h * h)
-
-
-def _fd2_mixed(func, x: np.ndarray, i: int, j: int, hi: float, hj: float):
-    """Fourth-order mixed second derivative (product of two 1-d stencils)."""
-    ei = np.zeros_like(x)
-    ei[i] = 1.0
-    ej = np.zeros_like(x)
-    ej[j] = 1.0
-    tot = 0.0
-    for oi, wi in zip(_FD_OFFS, _FD_WTS):
-        for oj, wj in zip(_FD_OFFS, _FD_WTS):
-            tot += wi * wj * func(x + oi * hi * ei + oj * hj * ej)
-    return tot / (hi * hj)
 
 
 def bd_residual(axes, V, x) -> np.ndarray:
@@ -147,10 +125,18 @@ def bd_residual(axes, V, x) -> np.ndarray:
     sum_k x_k d_k V) from direct first- and second-derivative central stencils
     of V (the rotational term expands to 3(x_j V_i - x_i V_j) + sum_k x_k (x_j
     V_ik - x_i V_jk), so no nested differencing of noisy intermediates is
-    needed).  Every first-derivative stencil and every ordered second-derivative
-    stencil is evaluated once and shared by all pairs.  V may return a 1-d
-    array; the result then has one column per component, each equal bit for
-    bit to the call with that component alone.
+    needed).  The stencils are the five-point first derivative, the
+    fourth-order diagonal second derivative and, for each ordered pair
+    k != l, the product of two first-derivative stencils (d2[k][l] and
+    d2[l][k] sum the same points in different orders).
+
+    V is called once, on the (1 + 4(n+1) + 16 n(n+1), n+1) stack of every
+    stencil point, so it must broadcast over a leading axis: one value, or
+    one 1-d array of components, per row, each equal to the call on that
+    row's point, as `hierarchy_eval` and `rosochatius_eval` give.  The rows
+    are combined in the stencils' order of summation, so the result equals
+    per-point evaluation bit for bit; with components it has one column per
+    component.
 
     The residuals vanish for the polynomial and inverse-power bases separable
     in the confocal coordinates of the axes; the rotational operator's
@@ -163,19 +149,44 @@ def bd_residual(axes, V, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     n1 = a.size
     hs = 5e-4 * (0.25 + np.abs(x))
-    d1 = [_fd1(V, x, k, hs[k]) for k in range(n1)]
-    # d2[k][l] and d2[l][k] sum the same points in different orders
-    d2 = [[_fd2_diag(V, x, k, hs[k]) if k == l
-           else _fd2_mixed(V, x, k, l, hs[k], hs[l]) for l in range(n1)]
-          for k in range(n1)]
-    out = []
-    for i in range(n1):
-        for j in range(i + 1, n1):
-            rot = 3.0 * (x[j] * d1[i] - x[i] * d1[j])
-            for k in range(n1):
-                rot += x[k] * (x[j] * d2[i][k] - x[i] * d2[j][k])
-            out.append((a[i] - a[j]) * d2[i][j] + rot)
-    return np.array(out, dtype=float)
+    # steps[k, o] = (o h_k) e_k, and x + steps are the first-derivative points
+    steps = (hs[:, None] * np.array(_FD_OFFS))[:, :, None] * np.eye(n1)[:, None, :]
+    ones = x + steps
+    kk, ll = np.nonzero(~np.eye(n1, dtype=bool))  # ordered pairs k != l, row-major
+    mixed = ones[kk][:, :, None, :] + steps[ll][:, None, :, :]
+    pts = np.concatenate([x[None], ones.reshape(-1, n1), mixed.reshape(-1, n1)])
+    vals = np.asarray(V(pts), dtype=float)
+    if vals.shape[:1] != pts.shape[:1]:
+        raise DimensionError("V must return one value per row of the stencil stack")
+    tail = vals.shape[1:]
+
+    def col(v):
+        # a per-row factor, broadcast over the component axis
+        return np.reshape(v, np.shape(v) + (1,) * len(tail))
+
+    f0 = vals[0]
+    f1 = vals[1:1 + 4 * n1].reshape((n1, 4) + tail)
+    fm = vals[1 + 4 * n1:].reshape((kk.size, 4, 4) + tail)
+    d1 = 0.0
+    for o, w in enumerate(_FD_WTS):
+        d1 = d1 + w * f1[:, o]
+    d1 = d1 / col(hs)
+    d2 = np.empty((n1, n1) + tail)
+    # x - c e_k is x + (-c) e_k bit for bit, so the diagonal stencil reads the
+    # first-derivative points: offsets -2, -1, 1, 2 are columns 0..3 of f1
+    d2[range(n1), range(n1)] = ((-f1[:, 3] + 16 * f1[:, 2] - 30 * f0 + 16 * f1[:, 1]
+                                 - f1[:, 0]) / col(12 * hs * hs))
+    tot = 0.0
+    for oi, wi in enumerate(_FD_WTS):
+        for oj, wj in enumerate(_FD_WTS):
+            tot = tot + wi * wj * fm[:, oi, oj]
+    d2[kk, ll] = tot / col(hs[kk] * hs[ll])
+    ii, jj = np.triu_indices(n1, 1)
+    xi, xj = col(x[ii]), col(x[jj])
+    rot = 3.0 * (xj * d1[ii] - xi * d1[jj])
+    for k in range(n1):
+        rot = rot + x[k] * (xj * d2[ii, k] - xi * d2[jj, k])
+    return col(a[ii] - a[jj]) * d2[ii, jj] + rot
 
 
 def omega_coefficients(tables: HierarchyTables, k: int) -> np.ndarray:
@@ -191,12 +202,19 @@ def omega_coefficients(tables: HierarchyTables, k: int) -> np.ndarray:
     return np.convolve(d, d)[:k]
 
 
-def delta_value(tables: HierarchyTables, k: int, lam: float) -> float:
-    """Delta_k(lam) = lam^{k-1} - lam^{k-2} V^(1) - ... - V^(k-1)."""
-    d = lam ** (k - 1)
+def delta_value(tables: HierarchyTables, k: int, lam) -> float | np.ndarray:
+    """Delta_k(lam) = lam^{k-1} - lam^{k-2} V^(1) - ... - V^(k-1).
+
+    A float for one parameter; an array of parameters gives an array, each
+    entry equal bit for bit to the call at that parameter.  The entries are
+    held as Python floats, so every power is the float power of one
+    parameter: numpy's array power rounds differently in the last bit.
+    """
+    t = np.asarray(lam, dtype=object)
+    d = t ** (k - 1)
     for j in range(1, k):
-        d -= lam ** (k - 1 - j) * tables.V[j - 1]
-    return float(d)
+        d = d - t ** (k - 1 - j) * tables.V[j - 1]
+    return np.asarray(d, dtype=float) if np.ndim(d) else float(d)
 
 
 def delta_omega(axes, x, lam: float, k: int,

@@ -123,8 +123,7 @@ def suite_conservation(seed=0, T=10.0, h=1e-3, tol=1e-7) -> list[CheckRecord]:
         if fam.f is not None:
             fam_cols.append(fam.f)
         lams = lx.lambda_samples(sys.axes, 5)
-        det = np.array([[lx.det_L(sys, PhaseState(x, y), lam) for lam in lams]
-                        for x, y in zip(s.x, s.y)])
+        det = np.array([lx.det_L(sys, PhaseState(x, y), lams) for x, y in zip(s.x, s.y)])
         dH = _relative_drift(energy(sys, s))
         dfam = _relative_drift(np.column_stack(fam_cols), np.max(np.abs(fam.ftilde[0])))
         ddet = _relative_drift(det, np.max(np.abs(det[0])))
@@ -313,12 +312,13 @@ def suite_bd_residual(seed=0, tol=1e-6) -> list[CheckRecord]:
     floor_nonsep = np.inf
     for _ in range(100):
         x = rng.uniform(0.4, 1.2, size=3) * rng.choice([-1.0, 1.0], size=3)
-        poly = pt.bd_residual(a, lambda p: np.array(pt.hierarchy_eval(a, p, 4).V), x)
+        poly = pt.bd_residual(a, lambda p: np.stack(pt.hierarchy_eval(a, p, 4).V, axis=-1), x)
         worst_poly = float(np.maximum(worst_poly, np.max(np.abs(poly))))
-        ros = pt.bd_residual(a, lambda p: np.array(
-            [pt.rosochatius_eval(a, p, sdx, d) for sdx in range(3) for d in (-1, -2)]), x)
+        ros = pt.bd_residual(a, lambda p: np.stack(
+            [pt.rosochatius_eval(a, p, sdx, d) for sdx in range(3) for d in (-1, -2)],
+            axis=-1), x)
         worst_ros = float(np.maximum(worst_ros, np.max(np.abs(ros))))
-        bad = pt.bd_residual(a, lambda p: p[0] ** 3 * p[1], x)[0]
+        bad = pt.bd_residual(a, lambda p: p[..., 0] ** 3 * p[..., 1], x)[0]
         floor_nonsep = float(np.minimum(floor_nonsep, abs(bad)))
     return [
         CheckRecord("bd-residual/polynomial-basis", worst_poly, tol),

@@ -33,7 +33,7 @@ from confocal.errors import (
     SingularAxisError,
 )
 from confocal.geometry import tangency_value
-from confocal.lax import LaxPair2
+from confocal.lax import LaxPair2, lambda_samples
 from confocal.sampling import random_impact_state
 
 
@@ -464,7 +464,45 @@ class TestOracleKernel:
                 assert np.sqrt(y @ y) >= 4.0 * np.sqrt(2.0) / ORACLE_T_MAX * (1 - 1e-12)
 
 
+def discrete_lax_check_per_parameter(spec, s, s_next, lambdas):
+    """The conjugation check with one companion and one pair of spectral
+    matrices per parameter, as before the parameter stacks."""
+    a = spec.a
+    pair0 = LaxPair2(spec, s.x, s.y)
+    pair1 = LaxPair2(spec, s_next.x, s_next.y)
+    out = []
+    for lam in lambdas:
+        J = 2.0 * float((s.x / a) @ s.y)
+        mu = spec.mu_arr
+        nz = mu != 0
+        charge = float(((mu[nz] / s.x[nz]) ** 2 / a[nz]).sum()) if nz.any() else 0.0
+        K = spec.sigma - float((s.y / a) @ s.y) - charge
+        pi = J / float((s_next.x / a**2) @ s_next.x)
+        A = np.array([[K * lam + J * pi, spec.sigma * J * lam - K * pi],
+                      [-J * lam, K * lam]])
+        L0, L1 = pair0.L(lam), pair1.L(lam)
+        d0 = L0[0, 0] * L0[1, 1] - L0[0, 1] * L0[1, 0]
+        d1 = L1[0, 0] * L1[1, 1] - L1[0, 1] * L1[1, 0]
+        out.append({"lam": float(lam), "det_drift": abs(float(d1 - d0)),
+                    "conjugation_residual": float(np.max(np.abs(L1 @ A - A @ L0)))})
+    return out
+
+
 class TestDiscreteConjugation:
+    @pytest.mark.parametrize("sigma,mu", [(0.0, (0.0, 0.0, 0.0)), (-1.0, (0.3, 0.25, 0.2)),
+                                          (0.3, (0.0, 0.25, 0.0))])
+    def test_stacked_check_equals_the_per_parameter_loop(self, sigma, mu):
+        # the three specs of the discrete-lax suite, 100 bounces each
+        spec = BilliardSpec((2.0, 1.0, 0.6), sigma=sigma, mu=mu)
+        x, y = random_impact_state(spec.axes, sigma, mu, 31, speed=1.3)
+        s = ImpactState(x, y)
+        lams = lambda_samples(spec.axes, 5)
+        for _ in range(100):
+            s1 = jr_step(spec, s)
+            assert (discrete_lax_check(spec, s, s1, lams)
+                    == discrete_lax_check_per_parameter(spec, s, s1, lams))
+            s = s1
+
     def test_determinant_invariance_along_orbit(self):
         spec = BilliardSpec((2.0, 1.0, 0.6), sigma=-1.0, mu=(0.3, 0.25, 0.2))
         x, y = random_impact_state(spec.axes, -1.0, spec.mu, 14, speed=1.4)

@@ -270,6 +270,20 @@ integrator: {{h: 1.0e-3, T: 0.01}}
         err = capsys.readouterr().err
         assert "but needs both x and y" in err and "Traceback" not in err
 
+    def test_initial_state_with_a_random_count_is_a_config_error(self, tmp_path, capsys):
+        # the count used to be dropped silently: one trajectory, exit 0
+        cfg = write(tmp_path / "cfg.yaml", """\
+version: 1
+system: {kind: jacobi, axes: [1.0, 2.0, 3.0], sigma: 0.3}
+initial: {x: [1, 0, 0], y: [0, 1, 0], random: {count: 3}}
+integrator: {h: 1.0e-3, T: 0.01}
+""")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "random.count" in err and "Traceback" not in err
+        assert not list(out.glob("trajectory_*.csv"))
+
     def test_drift_gate_failure_sets_exit_code(self, tmp_path):
         cfg = write(tmp_path / "cfg.yaml", f"""\
 version: 1

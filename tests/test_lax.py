@@ -13,7 +13,10 @@ from confocal.dynamics import (
 from confocal.errors import InvariantVarietyError, PoleError
 from confocal.billiard import tangent_directions
 from confocal.geometry import pole_form, tangency_value
+from confocal.geometry import _pole_guard
 from confocal.lax import (
+    _SMALL_KINDS,
+    _poly_part_degree,
     build_lax,
     clearing_exponents,
     commutation_suite,
@@ -480,6 +483,85 @@ class TestStackedFormulas:
                     np.testing.assert_array_equal(got[0], f)
                 np.testing.assert_array_equal(got[1], ftilde)
                 assert got[2] == Hf
+
+
+# the pair systems: every small-pair kind, plus a deep hierarchy whose
+# Delta_k take powers of the parameter up to the fourth
+SMALL_SYSTEMS = [sys for sys in STACK_SYSTEMS if sys.kind in _SMALL_KINDS] + [
+    SystemSpec("separable_hierarchy", AXES, sigmas=(0.5, -0.3, 0.2, 0.1, -0.05),
+               mu=(0.3, 0.0, 0.25)),
+]
+SMALL_IDS = [f"{sys.kind}-{sys.a.size}-m{len(sys.sigmas)}" for sys in SMALL_SYSTEMS]
+
+
+class TestParameterStacks:
+    def test_every_small_kind_is_covered(self):
+        assert {sys.kind for sys in SMALL_SYSTEMS} == set(_SMALL_KINDS)
+
+    @pytest.mark.parametrize("sys", SMALL_SYSTEMS,
+                             ids=SMALL_IDS)
+    def test_stacked_L_and_det_equal_the_one_parameter_calls(self, sys):
+        rng = np.random.default_rng(21)
+        stack = random_stack(sys, 50, rng)
+        lams = np.concatenate([lambda_samples(sys.axes, 5), rng.uniform(-2.0, 7.0, 20)])
+        lams = lams[np.min(np.abs(lams[:, None] - sys.a), axis=-1) > 1e-3]
+        for k in range(50):
+            s = row(stack, k)
+            pair = build_lax(sys, s, "small")
+            L, d = pair.L(lams), pair.det_L(lams)
+            assert L.shape == (lams.size, 2, 2) and d.shape == lams.shape
+            np.testing.assert_array_equal(det_L(sys, s, lams), d)
+            for j, lam in enumerate(lams):
+                for one in (lam, float(lam)):
+                    np.testing.assert_array_equal(L[j], pair.L(one))
+                    assert d[j] == pair.det_L(one)
+
+    def test_a_parameter_array_touching_an_axis_is_rejected(self):
+        sys = SystemSpec("jacobi", AXES, sigma=0.4)
+        pair = build_lax(sys, random_state(sys, 3), "small")
+        for bad in ([0.5, 2.0, 4.0], [AXES[2] - 1e-11, 7.0]):
+            with pytest.raises(PoleError):
+                _pole_guard(sys.a, np.array(bad))
+            with pytest.raises(PoleError):
+                pair.L(np.array(bad))
+        _pole_guard(sys.a, np.array([0.5, 2.5, 4.0]))
+
+
+def psi_poly_per_parameter(sys, s):
+    """psi_poly with one det L call per sample, as before the stacked call."""
+    alpha = sys.ellipsoid.group_values
+    delta = clearing_exponents(sys)
+    deg = int(delta.sum()) + _poly_part_degree(sys)
+    pts = lambda_samples(alpha, deg + 1)
+    pair = build_lax(sys, s, "small")
+    vals = np.array([np.real(pair.det_L(t)) * np.prod((t - alpha) ** delta) for t in pts])
+    return np.linalg.solve(np.vander(pts, deg + 1), vals)
+
+
+class TestStackedCallers:
+    @pytest.mark.parametrize("sys", SMALL_SYSTEMS,
+                             ids=SMALL_IDS)
+    def test_psi_poly_equals_the_per_parameter_form(self, sys):
+        stack = random_stack(sys, 20, np.random.default_rng(22))
+        for k in range(20):
+            s = row(stack, k)
+            np.testing.assert_array_equal(psi_poly(sys, s), psi_poly_per_parameter(sys, s))
+
+    @pytest.mark.parametrize("case", range(len(suites._residual_cases(0))))
+    def test_lax_residual_shares_the_pair_at_the_state(self, monkeypatch, case):
+        import confocal.lax
+        _, sys, draw, which = suites._residual_cases(0)[case]
+        s = draw()
+        calls = []
+        real = confocal.lax.build_lax
+        monkeypatch.setattr(confocal.lax, "build_lax",
+                            lambda *args: calls.append(args) or real(*args))
+        for lam in (0.37, 4.31):
+            want = float(np.max(np.abs((4.0 * lax_defect(sys, s, which, lam, 5e-6)
+                                        - lax_defect(sys, s, which, lam, 1e-5)) / 3.0)))
+            calls.clear()
+            assert lax_residual(sys, s, which, lam, 1e-5) == want
+            assert len(calls) == 5
 
 
 class TestCommutation:

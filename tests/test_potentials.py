@@ -3,7 +3,7 @@ import pytest
 
 from confocal import suites
 from confocal.dynamics import SystemSpec
-from confocal.errors import PoleError
+from confocal.errors import DimensionError, PoleError
 from confocal.potentials import (
     bd_residual,
     delta_omega,
@@ -91,6 +91,17 @@ class TestRosochatius:
         V_hand = (1.0 + 1.3**2 / (2.0 - 1.0)) / 0.8**4
         np.testing.assert_allclose(rosochatius_eval(a, x, 0, -2), V_hand, rtol=1e-14)
 
+    def test_stack_rows_equal_the_one_point_calls(self):
+        rng = np.random.default_rng(13)
+        x = rng.uniform(0.3, 1.4, size=(200, 3)) * rng.choice([-1.0, 1.0], size=(200, 3))
+        for s in range(3):
+            for degree in (-1, -2):
+                got = rosochatius_eval(AXES, x, s, degree)
+                assert got.shape == (200,)
+                one = [rosochatius_eval(AXES, row, s, degree) for row in x]
+                assert all(isinstance(v, float) for v in one)
+                np.testing.assert_array_equal(got, one)
+
     def test_zero_anchor_rejected(self):
         with pytest.raises(ValueError):
             rosochatius_eval(AXES, np.array([0.0, 1.0, 1.0]), 0, -1)
@@ -100,10 +111,65 @@ class TestRosochatius:
             SystemSpec("jacobi_rosochatius", AXES, mu=(0.1, -0.2, 0.0))
 
 
+# ---------------------------------------------------------------------------
+# reference: the per-point stencils that the stacked evaluation replaced.
+# Each calls V on one point at a time; bd_residual must equal them bit for
+# bit whenever V's value at a point does not depend on the stack around it
+# ---------------------------------------------------------------------------
+
+_OFFS = (-2.0, -1.0, 1.0, 2.0)
+_WTS = (1.0 / 12.0, -8.0 / 12.0, 8.0 / 12.0, -1.0 / 12.0)
+
+
+def _fd1(func, x, i, h):
+    e = np.zeros_like(x)
+    e[i] = 1.0
+    return sum(w * func(x + o * h * e) for o, w in zip(_OFFS, _WTS)) / h
+
+
+def _fd2_diag(func, x, i, h):
+    e = np.zeros_like(x)
+    e[i] = 1.0
+    return (-func(x + 2 * h * e) + 16 * func(x + h * e) - 30 * func(x)
+            + 16 * func(x - h * e) - func(x - 2 * h * e)) / (12 * h * h)
+
+
+def _fd2_mixed(func, x, i, j, hi, hj):
+    ei = np.zeros_like(x)
+    ei[i] = 1.0
+    ej = np.zeros_like(x)
+    ej[j] = 1.0
+    tot = 0.0
+    for oi, wi in zip(_OFFS, _WTS):
+        for oj, wj in zip(_OFFS, _WTS):
+            tot += wi * wj * func(x + oi * hi * ei + oj * hj * ej)
+    return tot / (hi * hj)
+
+
+def bd_residual_per_point(axes, V, x):
+    a = np.asarray(axes, dtype=float)
+    x = np.asarray(x, dtype=float)
+    n1 = a.size
+    hs = 5e-4 * (0.25 + np.abs(x))
+    d1 = [_fd1(V, x, k, hs[k]) for k in range(n1)]
+    d2 = [[_fd2_diag(V, x, k, hs[k]) if k == l
+           else _fd2_mixed(V, x, k, l, hs[k], hs[l]) for l in range(n1)]
+          for k in range(n1)]
+    out = []
+    for i in range(n1):
+        for j in range(i + 1, n1):
+            rot = 3.0 * (x[j] * d1[i] - x[i] * d1[j])
+            for k in range(n1):
+                rot += x[k] * (x[j] * d2[i][k] - x[i] * d2[j][k])
+            out.append((a[i] - a[j]) * d2[i][j] + rot)
+    return np.array(out, dtype=float)
+
+
 class TestBertrandDarboux:
     def test_constant_potential(self):
         # only stencil roundoff survives on a constant
-        val = bd_residual(AXES, lambda p: 4.2, np.array([0.5, 0.8, -0.9]))
+        val = bd_residual(AXES, lambda p: np.full(p.shape[:-1], 4.2),
+                          np.array([0.5, 0.8, -0.9]))
         assert val.shape == (3,)
         assert np.max(np.abs(val)) < 1e-9
 
@@ -111,14 +177,14 @@ class TestBertrandDarboux:
         rng = np.random.default_rng(6)
         for _ in range(20):
             x = rng.uniform(0.4, 1.2, size=3)
-            V1 = lambda p: float(p @ p)
+            V1 = lambda p: np.vecdot(p, p)
             assert np.max(np.abs(bd_residual(AXES, V1, x))) < 1e-7
 
     def test_nonseparable_monomial_detected_and_matches_analytic(self):
         # V = x0^3 x1: residual of the pair (0, 1) =
         # (a0-a1) 3 x0^2 + 18 x0^2 x1^2 - 6 x0^4
         x = np.array([0.9, 0.7, 1.1])
-        V = lambda p: p[0] ** 3 * p[1]
+        V = lambda p: p[..., 0] ** 3 * p[..., 1]
         analytic = ((AXES[0] - AXES[1]) * 3.0 * x[0] ** 2
                     + 18.0 * x[0] ** 2 * x[1] ** 2 - 6.0 * x[0] ** 4)
         got = bd_residual(AXES, V, x)[0]
@@ -142,10 +208,34 @@ class TestBertrandDarboux:
             x = rng.uniform(0.4, 1.2, size=3) * rng.choice([-1.0, 1.0], size=3)
             comps = [lambda p, k=k: hierarchy_eval(AXES, p, 4).V[k] for k in range(4)]
             comps += [lambda p, s=s: rosochatius_eval(AXES, p, s, -2) for s in range(3)]
-            got = bd_residual(AXES, lambda p: np.array([c(p) for c in comps]), x)
+            got = bd_residual(AXES, lambda p: np.stack([c(p) for c in comps], axis=-1), x)
             assert got.shape == (3, len(comps))
             for col, c in enumerate(comps):
                 assert np.array_equal(got[:, col], bd_residual(AXES, c, x))
+
+    @pytest.mark.parametrize("axes", [(1.0, 2.0, 3.0), (0.7, 1.1, 2.0, 3.2)])
+    def test_one_call_of_V_equals_the_per_point_stencils(self, axes):
+        rng = np.random.default_rng(12)
+        n1 = len(axes)
+        for _ in range(10):
+            x = rng.uniform(0.4, 1.2, size=n1) * rng.choice([-1.0, 1.0], size=n1)
+            shapes = []
+
+            def V(p):
+                shapes.append(p.shape)
+                return np.stack(hierarchy_eval(axes, p, 4).V, axis=-1)
+
+            got = bd_residual(axes, V, x)
+            assert shapes == [(1 + 4 * n1 + 16 * n1 * (n1 - 1), n1)]
+            want = bd_residual_per_point(axes, lambda p: np.array(hierarchy_eval(axes, p, 4).V), x)
+            np.testing.assert_array_equal(got, want)
+            want = bd_residual_per_point(axes, lambda p: hierarchy_eval(axes, p, 3).V[2], x)
+            np.testing.assert_array_equal(
+                bd_residual(axes, lambda p: hierarchy_eval(axes, p, 3).V[2], x), want)
+
+    def test_a_potential_that_does_not_broadcast_is_rejected(self):
+        with pytest.raises(DimensionError):
+            bd_residual(AXES, lambda p: p[0] ** 3 * p[1], np.array([0.9, 0.7, 1.1]))
 
 
 class TestDeltaOmega:
