@@ -130,8 +130,13 @@ class SystemSpec:
             raise ValueError("mu entries must be nonnegative")
         if any(mu) and kind not in _CHARGED_KINDS:
             raise ValueError(f"kind {kind!r} takes no charges")
-        if kind == "separable_hierarchy" and len(sigmas) < 1:
-            raise ValueError("separable_hierarchy needs at least one weight")
+        if kind == "separable_hierarchy":
+            if len(sigmas) < 1:
+                raise ValueError("separable_hierarchy needs at least one weight")
+            if sigma != 0.0:
+                raise ValueError("separable_hierarchy takes weights sigmas, not sigma")
+        elif len(sigmas):
+            raise ValueError(f"kind {kind!r} takes sigma, not weights sigmas")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "sigma", float(sigma))

@@ -18,7 +18,7 @@ class DegenerateChartError(ConfocalError):
 
 
 class InvalidCoordsError(ConfocalError):
-    """Elliptic coordinates violate the interlacing inequalities."""
+    """Parameters given to the inverse elliptic chart do not interlace the axes."""
 
 
 class PoleError(ConfocalError):

@@ -88,19 +88,16 @@ class EllipticCoords:
         object.__setattr__(self, "signs", signs)
 
 
-def _confocal_lhs(axes: np.ndarray, xsq: np.ndarray, lam: float) -> float:
-    # landing exactly on a pole yields +-inf, which the bracketing logic
-    # treats as an ordinary sign
-    with np.errstate(divide="ignore"):
-        return float((xsq / (axes - lam)).sum() - 1.0)
-
-
 def elliptic_coords(spec: EllipsoidSpec, x) -> EllipticCoords:
-    """Confocal parameters (lam_0 <= ... <= lam_n) through x, plus signs.
+    """Confocal parameters (lam_0 < ... < lam_n) through x, plus signs.
 
-    Each lam_k is the root of sum x_i^2/(a_i - lam) = 1 bracketed in its
-    interlacing interval; the function is strictly increasing between poles,
-    so bisection followed by a guarded Newton polish is unconditional.
+    By the matrix determinant lemma, sum x_i^2/(a_i - lam) = 1 exactly when
+    det(A - x x^T - lam) = 0, so the parameters are the eigenvalues of the
+    symmetric matrix A - x x^T (Moser 1980).  They come out ascending, the
+    interlacing order.  Each is clamped into its open interval
+    (a_(k-1), a_(k)), since it can round onto or past its axis when x_k^2 is
+    below one ulp of a_k; one Newton step on sum x^2/(a - lam) - 1 then
+    polishes every parameter and is kept where it stays in the interval.
     """
     a = spec.a
     x = np.asarray(x, dtype=float)
@@ -111,56 +108,15 @@ def elliptic_coords(spec: EllipsoidSpec, x) -> EllipticCoords:
     if np.any(x == 0.0):
         raise DegenerateChartError("point lies on a coordinate hyperplane")
 
-    order = np.argsort(a)
-    asrt = a[order]
+    asrt = np.sort(a)
+    lo = np.nextafter(np.concatenate(([-np.inf], asrt[:-1])), np.inf)
+    hi = np.nextafter(asrt, -np.inf)
+    lam = np.clip(np.linalg.eigvalsh(np.diag(a) - np.outer(x, x)), lo, hi)
     xsq = x * x
-    lams = np.empty(a.size)
-    for k in range(a.size):
-        hi_pole = asrt[k]
-        if k == 0:
-            lo = float(asrt[0] - (xsq.sum() + 1.0))
-        else:
-            lo = float(asrt[k - 1])
-        hi = float(hi_pole)
-        gap = hi - lo
-        # shrink the bracket ends off the poles until the signs are right
-        eps = 1e-16
-        while _confocal_lhs(a, xsq, hi - eps * gap) < 0.0:
-            eps *= 64.0
-            if eps > 0.25:
-                raise InvalidCoordsError("failed to bracket a confocal root")
-        hi -= eps * gap
-        if k > 0:
-            eps = 1e-16
-            while _confocal_lhs(a, xsq, lo + eps * gap) > 0.0:
-                eps *= 64.0
-                if eps > 0.25:
-                    raise InvalidCoordsError("failed to bracket a confocal root")
-            lo += eps * gap
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if _confocal_lhs(a, xsq, mid) >= 0.0:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo < 1e-15 * max(1.0, abs(mid)):
-                break
-        lam = 0.5 * (lo + hi)
-        # Newton polish, kept inside the bracket
-        for _ in range(3):
-            f = _confocal_lhs(a, xsq, lam)
-            df = float((xsq / (a - lam) ** 2).sum())
-            step = f / df
-            cand = lam - step
-            if lo < cand < hi:
-                lam = cand
-            else:
-                break
-        lams[k] = lam
-    signs = np.where(x > 0, 1, -1)
-    return EllipticCoords(lams, signs)
+    d = a - lam[:, None]
+    newton = lam - ((xsq / d).sum(axis=1) - 1.0) / (xsq / d**2).sum(axis=1)
+    lam = np.where((lo <= newton) & (newton <= hi), newton, lam)
+    return EllipticCoords(lam, np.where(x > 0, 1, -1))
 
 
 def coords_from_elliptic(spec: EllipsoidSpec, ec: EllipticCoords) -> np.ndarray:

@@ -10,9 +10,12 @@ import numpy as np
 
 from .billiard import ORACLE_T_MAX
 from .dynamics import PhaseState, SystemSpec
+from .errors import MultiplierSingularError, SingularAxisError
 
 # keep charged coordinates comfortably away from their singular hyperplane
 _MIN_CHARGED = 0.25
+# attempts of a rejection draw before it gives up
+_MAX_DRAWS = 1000
 
 
 def _rng(seed_or_rng) -> np.random.Generator:
@@ -39,19 +42,21 @@ def random_state(sys: SystemSpec, seed_or_rng=0, y_scale: float = 1.0) -> PhaseS
         p = p - (((z / a) @ np.conj(p)).real / den) * z / a
         return PhaseState(z, p)
     # real kinds
-    x = rng.normal(size=n1)
     nz = sys.mu_arr != 0
-    x[nz] = np.abs(x[nz]) + _MIN_CHARGED
-    y = y_scale * rng.normal(size=n1)
-    if kind == "free_jr":
-        return PhaseState(x, y)
-    x = x / np.sqrt((x / a) @ x)
-    if nz.any() and np.min(np.abs(x[nz])) < 0.05:
-        # retry with a fresh draw; the rescaling can shrink charged entries
-        return random_state(sys, rng, y_scale)
-    den = (x / a**2) @ x
-    y = y - (((x / a) @ y) / den) * x / a
-    return PhaseState(x, y)
+    for _ in range(_MAX_DRAWS):
+        x = rng.normal(size=n1)
+        x[nz] = np.abs(x[nz]) + _MIN_CHARGED
+        y = y_scale * rng.normal(size=n1)
+        if kind == "free_jr":
+            return PhaseState(x, y)
+        x = x / np.sqrt((x / a) @ x)
+        # redraw when the rescaling shrinks a charged entry
+        if not nz.any() or np.min(np.abs(x[nz])) >= 0.05:
+            den = (x / a**2) @ x
+            y = y - (((x / a) @ y) / den) * x / a
+            return PhaseState(x, y)
+    raise SingularAxisError(f"no draw in {_MAX_DRAWS} keeps the charged "
+                            "coordinates 0.05 off their axes")
 
 
 def _random_double(sys: SystemSpec, rng, y_scale: float, invariant: bool) -> PhaseState:
@@ -72,7 +77,7 @@ def _random_double(sys: SystemSpec, rng, y_scale: float, invariant: bool) -> Pha
         # the flow's multiplier denominator must stay away from zero
         if abs((x / a**2) @ xi) > 0.2 / float(np.max(a)):
             break
-    while True:
+    for _ in range(_MAX_DRAWS):
         y = y_scale * rng.normal(size=n1)
         eta = y_scale * rng.normal(size=n1)
         # zero each pairing with a norm-bounded correction (no division by
@@ -92,6 +97,8 @@ def _random_double(sys: SystemSpec, rng, y_scale: float, invariant: bool) -> Pha
         mult = ((y / a) @ eta - sys.sigma) / ((x / a**2) @ xi)
         if abs(mult) <= 8.0:
             return PhaseState(x, y, 0.0, xi, eta)
+    raise MultiplierSingularError(f"no momentum draw in {_MAX_DRAWS} keeps the "
+                                  "multiplier within 8")
 
 
 def random_double_invariant_state(sys: SystemSpec, seed_or_rng=0) -> PhaseState:
@@ -113,12 +120,15 @@ def random_impact_state(axes, sigma: float, mu, seed_or_rng=0, speed: float = 1.
     a = np.asarray(axes, dtype=float)
     mu = np.asarray(mu, dtype=float) if len(np.atleast_1d(mu)) else np.zeros(a.size)
     nz = mu != 0
-    while True:
+    for _ in range(_MAX_DRAWS):
         x = rng.normal(size=a.size)
         x[nz] = np.abs(x[nz]) + _MIN_CHARGED
         x = x / np.sqrt((x / a) @ x)
         if not nz.any() or np.min(np.abs(x[nz])) > 0.05:
             break
+    else:
+        raise SingularAxisError(f"no draw in {_MAX_DRAWS} keeps the charged "
+                                "coordinates 0.05 off their axes")
     y = speed * rng.normal(size=a.size)
     if (x / a) @ y > 0:
         y = -y

@@ -1,5 +1,7 @@
+import contextlib
 import json
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -16,6 +18,21 @@ from confocal.svgplot import render
 def write(path, text):
     path.write_text(text)
     return str(path)
+
+
+@contextlib.contextmanager
+def within_seconds(seconds):
+    """Fail a block that runs longer than `seconds` instead of hanging."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 SPHERE = """\
@@ -239,6 +256,48 @@ system: {kind: jacobi, axes: [1.0, 2.0, 3.0], sigma: 0.4, mu: [0.2, 0.0, 0.3]}
         err = capsys.readouterr().err
         assert "takes no charges" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("system,msg", [
+        ("{kind: jacobi, axes: [1.0, 2.0, 3.0], sigmas: [9, 9]}", "not weights sigmas"),
+        ("{kind: separable_hierarchy, axes: [1.0, 2.0, 3.0], sigmas: [0.5], sigma: 5.0}",
+         "not sigma"),
+    ], ids=["sigmas-on-jacobi", "sigma-on-hierarchy"])
+    def test_force_field_the_kind_ignores_is_a_config_error(self, tmp_path, capsys,
+                                                            system, msg):
+        # a force field the kind does not read must not be dropped silently
+        cfg = write(tmp_path / "cfg.yaml", f"""\
+version: 1
+system: {system}
+integrator: {{h: 1.0e-3, T: 0.01}}
+""")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert msg in err and "Traceback" not in err
+
+    def test_charged_draw_squashed_onto_its_axis_is_a_singularity(self, tmp_path, capsys):
+        # on tiny axes every rescaled draw puts a charged coordinate under
+        # 0.05, so the bounded redraw must give up with exit 3
+        cfg = write(tmp_path / "cfg.yaml", """\
+version: 1
+system: {kind: jacobi_rosochatius, axes: [0.001, 0.002, 0.003], mu: [0.2, 0, 0.3]}
+integrator: {h: 1.0e-3, T: 0.01}
+""")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "0.05 off their axes" in err and "Traceback" not in err
+
+    def test_double_flow_momenta_past_the_multiplier_bound_are_a_singularity(
+            self, tmp_path, capsys):
+        # at sigma 20 no momentum draw keeps |multiplier| <= 8
+        cfg = write(tmp_path / "cfg.yaml", """\
+version: 1
+system: {kind: double_jacobi, axes: [1.0, 2.0, 3.0], sigma: 20.0}
+integrator: {h: 1.0e-3, T: 0.01}
+""")
+        with within_seconds(10):
+            assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "multiplier within 8" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("key", ["x", "y", "xi", "eta"])
     def test_initial_vector_of_the_wrong_length_is_a_config_error(self, tmp_path,
                                                                  capsys, key):
@@ -391,6 +450,18 @@ billiard:
         assert main(["billiard", "--config", cfg, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert f"billiard.initial.{key} has 1 entries" in err and "Traceback" not in err
+
+    def test_charged_impact_draw_squashed_onto_its_axis_is_a_singularity(self, tmp_path,
+                                                                         capsys):
+        # no boundary draw keeps the charged coordinate over 0.05
+        cfg = write(tmp_path / "cfg.yaml", """\
+version: 1
+billiard: {axes: [0.002, 0.001], mu: [0, 0.3]}
+""")
+        with within_seconds(10):
+            assert main(["billiard", "--config", cfg, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "0.05 off their axes" in err and "Traceback" not in err
 
 
 class TestSeedFlag:

@@ -121,6 +121,8 @@ class TestEllipticCoords:
             assert lam[0] < a[0]
             for k in range(1, 4):
                 assert a[k - 1] < lam[k] < a[k]
+            np.testing.assert_allclose(lam, bisect_confocal_roots(spec.axes, x),
+                                       rtol=0, atol=1e-12)
 
     def test_round_trip_through_cartesian(self):
         spec = EllipsoidSpec([1.0, 2.2, 3.1])
@@ -131,6 +133,26 @@ class TestEllipticCoords:
                 continue
             x2 = coords_from_elliptic(spec, elliptic_coords(spec, x))
             np.testing.assert_allclose(x2, x, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_round_trip_at_mixed_scales(self, seed):
+        # each coordinate scaled by 1 to 1e-3 puts parameters within x_k^2
+        # of their axes, where a_k - lam needs its relative accuracy
+        spec = EllipsoidSpec([1.0, 2.2, 3.1])
+        rng = np.random.default_rng(seed)
+        for _ in range(1000):
+            x = rng.normal(size=3) * rng.choice([1.0, 1e-1, 1e-2, 1e-3], size=3)
+            if np.min(np.abs(x)) < 1e-3:
+                continue
+            x2 = coords_from_elliptic(spec, elliptic_coords(spec, x))
+            np.testing.assert_allclose(x2, x, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("x", [(1e-12, 0.3, 0.4), (1e-8, 1e-8, 1e-8)])
+    def test_small_coordinates_interlace_strictly(self, x):
+        # x_k^2 below one ulp of a_k: the parameter sits next to its axis
+        a = (1.0, 2.2, 3.1)
+        lam = elliptic_coords(EllipsoidSpec(a), x).lam
+        assert lam[0] < a[0] < lam[1] < a[1] < lam[2] < a[2]
 
     def test_round_trip_through_parameters(self):
         spec = EllipsoidSpec([1.0, 2.0, 3.0])

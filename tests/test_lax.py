@@ -616,7 +616,8 @@ class TestRankReport:
 
     @pytest.mark.parametrize("kind", ["double_jacobi", "separable_hierarchy"])
     def test_other_kinds_rejected(self, kind):
-        sys = SystemSpec(kind, AXES, sigma=0.3, sigmas=(0.5,))
+        field = {"sigmas": (0.5,)} if kind == "separable_hierarchy" else {"sigma": 0.3}
+        sys = SystemSpec(kind, AXES, **field)
         with pytest.raises(ValueError, match="quadratic kinds"):
             gradient_rank_report(sys, random_state(sys, 25))
 
