@@ -370,7 +370,7 @@ def run_orbit(spec: BilliardSpec, s0: ImpactState, bounces: int,
         seg_roots.append(rts)
         if roots0 is None:
             roots0 = rts
-        elif rts.size == roots0.size:
+        elif rts.size == roots0.size and rts.size:
             drift = float(np.maximum(drift, np.max(np.abs(rts - roots0))))
         s = s_next
         impacts.append(s)

@@ -92,8 +92,8 @@ def _diagnostics(sys, traj: PhaseState):
     """The table of a stacked trajectory, its header and its three drifts.
 
     Columns: t, the state coordinates (Re and Im parts of complex ones), the
-    constraint residuals F1.., H and the integrals f (f-tilde when axes
-    repeat).  Each drift is the largest over the rows, NaN if any row is.
+    constraint residuals F1.., H and, for a flow with a small Lax pair, the
+    integrals f (f-tilde when axes repeat).  Each drift is the largest over the rows, NaN if any row is.
     """
     header, cols = ["t"], [traj.t[:, None]]
     cplx = np.iscomplexobj(traj.x)
@@ -115,7 +115,7 @@ def _diagnostics(sys, traj: PhaseState):
     dH = float(np.max(np.abs(H - H[0]) / max(abs(H[0]), 1e-3)))
     dC = float(np.max(np.abs(res))) if res.size else 0.0
     dF = 0.0
-    if sys.kind != "free_oscillator":
+    if lx.has_pair(sys, "small"):
         fam = lx.integral_family(sys, traj)
         F = fam.f if fam.f is not None else fam.ftilde
         header += [f"f{i}" for i in range(F.shape[-1])]

@@ -167,15 +167,17 @@ def initial_states(cfg: dict, sys: SystemSpec, seed: int) -> list[PhaseState]:
             if key in init and len(init[key]) != len(sys.axes):
                 raise ConfigError(f"initial.{key} has {len(init[key])} entries, "
                                   f"axes {len(sys.axes)}")
-        x = np.asarray(init["x"], dtype=float)
-        y = np.asarray(init["y"], dtype=float)
-        if sys.kind in ("complex_jacobi", "free_oscillator"):
-            x = x.astype(complex)
-            y = y.astype(complex)
-        xi = np.asarray(init["xi"], dtype=float) if "xi" in init else None
-        eta = np.asarray(init["eta"], dtype=float) if "eta" in init else None
-        if sys.kind == "double_jacobi" and (xi is None or eta is None):
-            raise ConfigError("double_jacobi initial state needs xi and eta")
+        second = sorted(init.keys() & {"xi", "eta"})
+        if sys.paired and len(second) < 2:
+            raise ConfigError(f"{sys.kind} initial state needs xi and eta")
+        if second and not sys.paired:
+            raise ConfigError(f"initial gives {', '.join(second)}, but kind "
+                              f"{sys.kind!r} has no second pair (xi, eta)")
+        dtype = complex if sys.complex else float
+        x = np.asarray(init["x"], dtype=dtype)
+        y = np.asarray(init["y"], dtype=dtype)
+        xi = np.asarray(init["xi"], dtype=float) if sys.paired else None
+        eta = np.asarray(init["eta"], dtype=float) if sys.paired else None
         return [PhaseState(x, y, 0.0, xi, eta)]
     count = init.get("random", {}).get("count", 1)
     rng = np.random.default_rng(seed)

@@ -1,23 +1,23 @@
 """Continuous flows on ellipsoids and their constraint-preserving integration.
 
-System kinds
-------------
-jacobi               motion on <A^-1 x, x> = 1 under the force -sigma x
-double_jacobi        the paired flow (x, xi, y, eta) on <x, A^-1 xi> = 1
-complex_jacobi       the same motion with complex coordinates (odd-dim ellipsoid)
-jacobi_rosochatius   jacobi plus inverse-square terms mu_k^2 / x_k^2
-separable_hierarchy  jacobi_rosochatius with polynomial potential weights
-free_oscillator      z'' = -sigma z in free (complex) space, no constraint
-free_jr              x'' = -sigma x + mu^2/x^3 in free real space
+System kinds and the structure `KIND_TABLE` states for each
+-----------------------------------------------------------
+kind                 ellipsoid complex (xi, eta) mu   sigmas  flow
+jacobi               yes       no      no        no   no      -sigma x on <A^-1 x, x> = 1
+double_jacobi        yes       no      yes       no   no      the paired flow on <x, A^-1 xi> = 1
+complex_jacobi       yes       yes     no        no   no      jacobi on complex coordinates
+jacobi_rosochatius   yes       no      no        yes  no      jacobi plus mu_k^2 / x_k^2
+separable_hierarchy  yes       no      no        yes  yes     a polynomial potential, no sigma
+free_oscillator      no        yes     no        no   no      z'' = -sigma z in free space
+free_jr              no        no      no        yes  no      x'' = -sigma x + mu^2/x^3, free
 
-jacobi, complex_jacobi, jacobi_rosochatius and separable_hierarchy share one
-formula each for the constraints, the energy, the right-hand side and the
-projection, written with the pairing Re <u, conj(v)> (the plain dot product
-on real arrays): jacobi is the chargeless case, complex_jacobi the same flow
-on complex coordinates, and the hierarchy swaps the Hooke force for the
-gradient of its potential.  double_jacobi has its own formulas, and the two
-free kinds share one.  Only jacobi_rosochatius, separable_hierarchy and
-free_jr take charges.
+`SystemSpec` sets the columns as the read-only attributes `constrained`,
+`complex`, `paired`, `takes_charges` and `takes_weights`; other modules read
+those, and a spec has weights exactly when `sigmas` is non-empty.  The
+constrained unpaired kinds share one formula each for the constraints, the
+energy, the right-hand side and the projection, written with the pairing
+Re <u, conj(v)> (the dot product on real arrays); weights swap the Hooke
+force for the gradient of their potential.
 
 The integrator is a fixed-step classical Runge-Kutta scheme with a post-step
 projection back onto the constraint set (position rescaled along A^-1 x by
@@ -46,6 +46,7 @@ non-finite coordinate or residual fails the guards of `rhs` and `integrate`
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -62,11 +63,20 @@ from .errors import (
 from .geometry import EllipsoidSpec
 from .potentials import _gradient_floats, hierarchy_potential
 
-CONSTRAINED_KINDS = ("jacobi", "double_jacobi", "complex_jacobi",
-                     "jacobi_rosochatius", "separable_hierarchy")
-FREE_KINDS = ("free_oscillator", "free_jr")
-KINDS = CONSTRAINED_KINDS + FREE_KINDS
-_CHARGED_KINDS = ("jacobi_rosochatius", "separable_hierarchy", "free_jr")
+
+# the structure of each kind, as in the table of the module docstring
+KindStructure = namedtuple("KindStructure",
+                           "constrained complex paired takes_charges takes_weights")
+KIND_TABLE = {
+    "jacobi": KindStructure(True, False, False, False, False),
+    "double_jacobi": KindStructure(True, False, True, False, False),
+    "complex_jacobi": KindStructure(True, True, False, False, False),
+    "jacobi_rosochatius": KindStructure(True, False, False, True, False),
+    "separable_hierarchy": KindStructure(True, False, False, True, True),
+    "free_oscillator": KindStructure(False, True, False, False, False),
+    "free_jr": KindStructure(False, False, False, True, False),
+}
+KINDS = tuple(KIND_TABLE)
 
 DEFAULT_CTOL = 1e-9
 
@@ -119,7 +129,8 @@ class SystemSpec:
     mu: tuple[float, ...] = ()
 
     def __init__(self, kind, axes, sigma=0.0, sigmas=(), mu=()):
-        if kind not in KINDS:
+        structure = KIND_TABLE.get(kind)
+        if structure is None:
             raise ValueError(f"unknown system kind {kind!r}")
         ellipsoid = EllipsoidSpec(axes)
         axes = ellipsoid.axes
@@ -128,13 +139,13 @@ class SystemSpec:
             raise DimensionError("mu must match the axes length")
         if any(m < 0 for m in mu):
             raise ValueError("mu entries must be nonnegative")
-        if any(mu) and kind not in _CHARGED_KINDS:
+        if any(mu) and not structure.takes_charges:
             raise ValueError(f"kind {kind!r} takes no charges")
-        if kind == "separable_hierarchy":
+        if structure.takes_weights:
             if len(sigmas) < 1:
-                raise ValueError("separable_hierarchy needs at least one weight")
+                raise ValueError(f"kind {kind!r} needs at least one weight")
             if sigma != 0.0:
-                raise ValueError("separable_hierarchy takes weights sigmas, not sigma")
+                raise ValueError(f"kind {kind!r} takes weights sigmas, not sigma")
         elif len(sigmas):
             raise ValueError(f"kind {kind!r} takes sigma, not weights sigmas")
         object.__setattr__(self, "kind", kind)
@@ -142,15 +153,13 @@ class SystemSpec:
         object.__setattr__(self, "sigma", float(sigma))
         object.__setattr__(self, "sigmas", tuple(float(s) for s in sigmas))
         object.__setattr__(self, "mu", mu)
-        # the partition and read-only arrays, built once; not dataclass
+        # structure, partition and read-only arrays, built once; not dataclass
         # fields, so __eq__ and __hash__ still compare the fields only
+        for name, value in structure._asdict().items():
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "ellipsoid", ellipsoid)
         object.__setattr__(self, "a", _frozen_array(axes))
         object.__setattr__(self, "mu_arr", _frozen_array(mu or np.zeros(len(axes))))
-
-    @property
-    def constrained(self) -> bool:
-        return self.kind in CONSTRAINED_KINDS
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +183,7 @@ def constraint_residuals(sys: SystemSpec, s: PhaseState) -> np.ndarray:
     Broadcasts over a leading axis of the state's arrays (one row per state).
     """
     a = sys.a
-    if sys.kind == "double_jacobi":
+    if sys.paired:
         g1 = np.vecdot(s.x / a, s.xi) - 1.0
         g2 = np.vecdot(s.y / a, s.xi) + np.vecdot(s.x / a, s.eta)
         return np.stack([g1, g2], axis=-1)
@@ -186,11 +195,11 @@ def constraint_residuals(sys: SystemSpec, s: PhaseState) -> np.ndarray:
 def energy(sys: SystemSpec, s: PhaseState) -> float | np.ndarray:
     """Hamiltonian of the flow at a state: a float, or one per row of a
     state whose arrays carry a leading axis."""
-    if sys.kind == "double_jacobi":
+    if sys.paired:
         return np.vecdot(s.y, s.eta) + sys.sigma * np.vecdot(s.x, s.xi)
     mu = sys.mu_arr
     kin = 0.5 * _pair(s.y, s.y)
-    if sys.kind == "separable_hierarchy":
+    if sys.sigmas:
         return kin + hierarchy_potential(sys.a, s.x, sys.sigmas, mu)
     pot = 0.5 * sys.sigma * _pair(s.x, s.x)
     nz = mu != 0
@@ -241,8 +250,8 @@ class _Flow:
 
     def __init__(self, sys: SystemSpec, s: PhaseState):
         self.cplx = np.iscomplexobj(s.x)
-        self.double = sys.kind == "double_jacobi"
-        self.hierarchy = sys.kind == "separable_hierarchy"
+        self.double = sys.paired
+        self.hierarchy = bool(sys.sigmas)
         self.charged = [(j, m) for j, m in enumerate(sys.mu) if m != 0.0]
         if self.cplx and (self.double or self.hierarchy or self.charged):
             raise ValueError("complex states run on the chargeless Hooke and free flows only")

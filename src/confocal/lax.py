@@ -40,9 +40,11 @@ from .errors import InvariantVarietyError, PoleError
 from .geometry import EllipsoidSpec, _pole_guard, pole_form
 from .potentials import delta_value, hierarchy_eval, omega_coefficients
 
-_SMALL_KINDS = ("jacobi", "jacobi_rosochatius", "separable_hierarchy",
-                "complex_jacobi", "double_jacobi", "free_jr")
-_BIG_KINDS = ("jacobi", "double_jacobi")
+# the kinds whose small and big pairs are built, and those the rank report takes
+_PAIR_KINDS = {"small": ("jacobi", "jacobi_rosochatius", "separable_hierarchy",
+                         "complex_jacobi", "double_jacobi", "free_jr"),
+               "big": ("jacobi", "double_jacobi")}
+_RANK_KINDS = ("jacobi", "jacobi_rosochatius", "free_jr")
 
 
 @dataclass
@@ -56,11 +58,11 @@ class LaxPair2:
     eta: np.ndarray | None = None
 
     def __post_init__(self):
-        # hierarchy kinds precompute the recurrence tables and the Omega_k
-        # coefficient arrays once per state
+        # with weights, the recurrence tables and the Omega_k coefficient
+        # arrays are computed once per state
         self._tables = None
         self._omega = None
-        if self.sys.kind == "separable_hierarchy":
+        if self.sys.sigmas:
             m = len(self.sys.sigmas)
             # level k + 1 of the depth-m tables is the depth-(k + 1) table
             self._tables = hierarchy_eval(self.sys.a, self.x, m)
@@ -68,7 +70,7 @@ class LaxPair2:
 
     def _conj_pair(self):
         """Second position/momentum pair entering the bilinear forms."""
-        if self.sys.kind == "double_jacobi":
+        if self.sys.paired:
             return self.xi, self.eta
         return self.x.conj(), self.y.conj()
 
@@ -92,7 +94,7 @@ class LaxPair2:
         if any(sys.mu):
             w = _mu_over_x(sys, self.x)
             val += pole_form(sys.a, lam, w, w)
-        if sys.kind == "separable_hierarchy":
+        if sys.sigmas:
             val += sum(sig * delta_value(self._tables, k + 1, lam)
                        for k, sig in enumerate(sys.sigmas))
         else:
@@ -103,10 +105,10 @@ class LaxPair2:
         sys = self.sys
         a = sys.a
         _pole_guard(a, lam)
-        if lam == 0.0 and sys.kind != "free_jr":
-            raise PoleError("lam=0 is a pole of the companion matrix")
-        if sys.kind == "free_jr":
+        if not sys.constrained:
             return np.array([[0.0, -sys.sigma], [1.0, 0.0]])
+        if lam == 0.0:
+            raise PoleError("lam=0 is a pole of the companion matrix")
         xi, eta = self._conj_pair()
         den = ((self.x / a**2) @ xi).real
         kin = ((self.y / a) @ eta).real
@@ -114,7 +116,7 @@ class LaxPair2:
         if any(sys.mu):
             w = _mu_over_x(sys, self.x)
             charge = float((w / a) @ w)
-        if sys.kind == "separable_hierarchy":
+        if sys.sigmas:
             grads = self._tables.gradV
             gradVplus = 0.5 * sum(sig * grads[k] for k, sig in enumerate(sys.sigmas))
             pump = float((gradVplus / a) @ self.x)
@@ -157,27 +159,27 @@ class LaxPairBig:
         return float(np.linalg.det(self.L(lam)))
 
 
+def has_pair(sys: SystemSpec, which: str) -> bool:
+    """Whether the flow of the kind carries the 'small' or the 'big' pair."""
+    if which not in _PAIR_KINDS:
+        raise ValueError("which must be 'small' or 'big'")
+    return sys.kind in _PAIR_KINDS[which]
+
+
 def build_lax(sys: SystemSpec, s: PhaseState, which: str = "small"):
     """Lax pair of the flow at a state; `which` selects 'small' or 'big'."""
+    if not has_pair(sys, which):
+        raise ValueError(f"no {which} pair for kind {sys.kind!r}")
     if which == "small":
-        if sys.kind not in _SMALL_KINDS:
-            raise ValueError(f"no small pair for kind {sys.kind!r}")
         return LaxPair2(sys, s.x, s.y, s.xi, s.eta)
-    if which != "big":
-        raise ValueError("which must be 'small' or 'big'")
-    if sys.kind not in _BIG_KINDS:
-        raise ValueError(f"no big pair for kind {sys.kind!r}")
-    a = sys.a
-    if sys.kind == "jacobi":
-        x, y, xi, eta = s.x, s.y, s.x, s.y
-    else:
-        x, y, xi, eta = s.x, s.y, s.xi, s.eta
-    v1 = abs((x / a) @ eta)
-    v2 = abs((y / a) @ xi)
+    # the unpaired flow is the paired one on its diagonal (xi, eta) = (x, y)
+    xi, eta = (s.xi, s.eta) if sys.paired else (s.x, s.y)
+    v1 = abs((s.x / sys.a) @ eta)
+    v2 = abs((s.y / sys.a) @ xi)
     if max(v1, v2) > 1e-8:
         raise InvariantVarietyError(
             f"state violates the defining variety ({v1:.2e}, {v2:.2e})")
-    return LaxPairBig(sys, x, y, xi, eta)
+    return LaxPairBig(sys, s.x, s.y, xi, eta)
 
 
 def _commutator(sys: SystemSpec, s: PhaseState, which: str, lam: float) -> np.ndarray:
@@ -240,7 +242,7 @@ def _pair_table(sys: SystemSpec, s: PhaseState) -> np.ndarray:
     """Symmetric table P[i, j] of the pairwise invariants entering the f_i."""
     x, y = s.x, s.y
     phi = _outer(y, x) - _outer(x, y)
-    if sys.kind == "double_jacobi":
+    if sys.paired:
         return phi * (_outer(s.eta, s.xi) - _outer(s.xi, s.eta))
     # |phi|^2 is phi * phi bit for bit on real arrays
     P = np.abs(phi) ** 2
@@ -255,10 +257,10 @@ def _pair_table(sys: SystemSpec, s: PhaseState) -> np.ndarray:
 
 def _local_parts(sys: SystemSpec, s: PhaseState) -> np.ndarray:
     """Per-axis pieces l_i with f_i = l_i + sum_j P_ij / (a_i - a_j)."""
-    if sys.kind == "double_jacobi":
+    if sys.paired:
         return s.y * s.eta + sys.sigma * s.x * s.xi
     out = np.abs(s.y) ** 2
-    if sys.kind == "separable_hierarchy":
+    if sys.sigmas:
         t = hierarchy_eval(sys.a, s.x, len(sys.sigmas))
         for sig, F in zip(sys.sigmas, t.F):
             out = out + sig * F
@@ -274,20 +276,16 @@ def _local_parts(sys: SystemSpec, s: PhaseState) -> np.ndarray:
 
 
 def _poly_part(sys: SystemSpec, lam: float) -> float:
-    """Value at lam of the polynomial part of det L."""
-    if sys.kind == "separable_hierarchy":
-        return float(sum(sig * lam**k for k, sig in enumerate(sys.sigmas)))
-    return sys.sigma
+    """Value at lam of det L's polynomial part: coefficients sigmas or (sigma,)."""
+    return float(sum(sig * lam**k for k, sig in enumerate(sys.sigmas or (sys.sigma,))))
 
 
 def _poly_part_degree(sys: SystemSpec) -> int:
-    if sys.kind == "separable_hierarchy":
-        deg = -1
-        for k, sig in enumerate(sys.sigmas):
-            if sig != 0.0:
-                deg = k
-        return deg
-    return 0 if sys.sigma != 0.0 else -1
+    deg = -1
+    for k, sig in enumerate(sys.sigmas or (sys.sigma,)):
+        if sig != 0.0:
+            deg = k
+    return deg
 
 
 @dataclass
@@ -362,19 +360,17 @@ def integral_family(sys: SystemSpec, s: PhaseState) -> IntegralFamily:
             f[..., i] = loc[..., i] + sum(P_tab[..., i, j] / (a[i] - a[j])
                                           for j in range(a.size) if j != i)
     H = 0.5 * ftilde.sum(axis=-1)
-    charges = None
-    J = None
-    rel = None
-    if sys.kind == "complex_jacobi":
-        charges = (np.conj(s.x) * s.y).imag
-        J = (_pair(s.y / a, s.y) - sys.sigma) * _pair(s.x / a**2, s.x)
-    if sys.constrained and sys.kind not in ("double_jacobi", "complex_jacobi"):
+    fam = IntegralFamily(H, f, ftilde, P, P_pairs, L_chain)
+    if sys.constrained and sys.complex:
+        fam.charges = (np.conj(s.x) * s.y).imag
+        fam.J = (_pair(s.y / a, s.y) - sys.sigma) * _pair(s.x / a**2, s.x)
+    elif sys.constrained and not sys.paired:
         mu = sys.mu_arr
         lhs = (ftilde / alpha).sum(axis=-1)
         rhs = (_poly_part(sys, 0.0) + (P / alpha**2).sum(axis=-1)
                + float((mu**2 / a**2).sum()))
-        rel = lhs - rhs
-    return IntegralFamily(H, f, ftilde, P, P_pairs, L_chain, charges, J, rel)
+        fam.relation_residual = lhs - rhs
+    return fam
 
 
 def det_L(sys: SystemSpec, s: PhaseState, lam):
@@ -588,7 +584,7 @@ def gradient_rank_report(sys: SystemSpec, s: PhaseState) -> dict:
     {ftilde_s, P_s} has dimension r + rho at generic states.  Raises
     ValueError outside the jacobi, jacobi_rosochatius and free_jr kinds.
     """
-    if sys.kind not in ("jacobi", "jacobi_rosochatius", "free_jr"):
+    if sys.kind not in _RANK_KINDS:
         raise ValueError("rank reports are provided for quadratic kinds only")
     spec = sys.ellipsoid
     part = spec.partition

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .billiard import ORACLE_T_MAX
-from .dynamics import PhaseState, SystemSpec
+from .dynamics import PhaseState, SystemSpec, _pair
 from .errors import MultiplierSingularError, SingularAxisError
 
 # keep charged coordinates comfortably away from their singular hyperplane
@@ -27,33 +27,25 @@ def _rng(seed_or_rng) -> np.random.Generator:
 def random_state(sys: SystemSpec, seed_or_rng=0, y_scale: float = 1.0) -> PhaseState:
     """One state satisfying the constraints of the system kind exactly."""
     rng = _rng(seed_or_rng)
-    a = sys.a
-    n1 = a.size
-    kind = sys.kind
-    if kind == "double_jacobi":
+    if sys.paired:
         return _random_double(sys, rng, y_scale, invariant=False)
-    if kind in ("complex_jacobi", "free_oscillator"):
-        z = rng.normal(size=n1) + 1j * rng.normal(size=n1)
-        p = y_scale * (rng.normal(size=n1) + 1j * rng.normal(size=n1))
-        if kind == "free_oscillator":
-            return PhaseState(z, p)
-        z = z / np.sqrt(((z / a) @ np.conj(z)).real)
-        den = ((z / a**2) @ np.conj(z)).real
-        p = p - (((z / a) @ np.conj(p)).real / den) * z / a
-        return PhaseState(z, p)
-    # real kinds
+    a = sys.a
+
+    def draw():
+        v = rng.normal(size=a.size)
+        return v + 1j * rng.normal(size=a.size) if sys.complex else v
+
     nz = sys.mu_arr != 0
     for _ in range(_MAX_DRAWS):
-        x = rng.normal(size=n1)
+        x = draw()
         x[nz] = np.abs(x[nz]) + _MIN_CHARGED
-        y = y_scale * rng.normal(size=n1)
-        if kind == "free_jr":
+        y = y_scale * draw()
+        if not sys.constrained:
             return PhaseState(x, y)
-        x = x / np.sqrt((x / a) @ x)
+        x = x / np.sqrt(_pair(x / a, x))
         # redraw when the rescaling shrinks a charged entry
         if not nz.any() or np.min(np.abs(x[nz])) >= 0.05:
-            den = (x / a**2) @ x
-            y = y - (((x / a) @ y) / den) * x / a
+            y = y - (_pair(x / a, y) / _pair(x / a**2, x)) * x / a
             return PhaseState(x, y)
     raise SingularAxisError(f"no draw in {_MAX_DRAWS} keeps the charged "
                             "coordinates 0.05 off their axes")

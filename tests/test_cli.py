@@ -329,6 +329,37 @@ integrator: {{h: 1.0e-3, T: 0.01}}
         err = capsys.readouterr().err
         assert "but needs both x and y" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("kind,extra", [
+        ("jacobi", "xi: [1.0, 0.0, 0.0]"),
+        ("jacobi", "xi: [1.0, 0.0, 0.0], eta: [0.0, -0.5, 0.0]"),
+        ("complex_jacobi", "xi: [1.0, 0.0, 0.0], eta: [0.0, -0.5, 0.0]"),
+    ], ids=["xi-on-jacobi", "xi-eta-on-jacobi", "xi-eta-on-complex"])
+    def test_second_pair_on_a_kind_without_one_is_a_config_error(self, tmp_path, capsys,
+                                                                 kind, extra):
+        # xi alone used to end in a TypeError, xi and eta to be ignored (exit 0)
+        cfg = write(tmp_path / "cfg.yaml", f"""\
+version: 1
+system: {{kind: {kind}, axes: [1.0, 2.0, 3.0], sigma: 0.3}}
+initial: {{x: [1.0, 0.0, 0.0], y: [0.0, 0.5, 0.0], {extra}}}
+integrator: {{h: 1.0e-3, T: 0.01}}
+""")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "no second pair" in err and "Traceback" not in err
+        assert not list(out.glob("trajectory_*.csv"))
+
+    def test_double_flow_without_its_second_pair_is_a_config_error(self, tmp_path, capsys):
+        cfg = write(tmp_path / "cfg.yaml", """\
+version: 1
+system: {kind: double_jacobi, axes: [1.0, 2.0, 3.0], sigma: 0.3}
+initial: {x: [1.0, 0.0, 0.0], y: [0.0, 0.5, 0.0], xi: [1.0, 0.0, 0.0]}
+integrator: {h: 1.0e-3, T: 0.01}
+""")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "needs xi and eta" in err and "Traceback" not in err
+
     def test_initial_state_with_a_random_count_is_a_config_error(self, tmp_path, capsys):
         # the count used to be dropped silently: one trajectory, exit 0
         cfg = write(tmp_path / "cfg.yaml", """\
@@ -450,6 +481,20 @@ billiard:
         assert main(["billiard", "--config", cfg, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert f"billiard.initial.{key} has 1 entries" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("extra", ["", ", poncelet_max: 4", ", sigma: 0.5, mu: [0.3]"],
+                             ids=["free", "poncelet", "charged-forced"])
+    def test_one_axis_billiard_runs(self, tmp_path, capsys, extra):
+        # a point bouncing on a segment: its caustic comparison used to take
+        # the maximum of two empty root arrays and end in a ValueError
+        cfg = write(tmp_path / "cfg.yaml", f"""\
+version: 1
+billiard: {{axes: [2.0], bounces: 4{extra}}}
+""")
+        assert main(["billiard", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        summary = json.loads((tmp_path / "billiard_summary.json").read_text())
+        assert summary["pass"]
 
     def test_charged_impact_draw_squashed_onto_its_axis_is_a_singularity(self, tmp_path,
                                                                          capsys):

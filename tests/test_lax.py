@@ -1,21 +1,24 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from confocal import suites
 from confocal.dynamics import (
+    KINDS,
     PhaseState,
     SystemSpec,
     _pair,
     constraint_residuals,
     energy,
     integrate,
+    project,
 )
 from confocal.errors import InvariantVarietyError, PoleError
 from confocal.billiard import tangent_directions
 from confocal.geometry import pole_form, tangency_value
 from confocal.geometry import _pole_guard
 from confocal.lax import (
-    _SMALL_KINDS,
     _poly_part_degree,
     build_lax,
     clearing_exponents,
@@ -23,6 +26,7 @@ from confocal.lax import (
     commuting_pairs,
     det_L,
     gradient_rank_report,
+    has_pair,
     integral_family,
     lambda_samples,
     lax_defect,
@@ -485,9 +489,18 @@ class TestStackedFormulas:
                 assert got[2] == Hf
 
 
+def has_small_pair(sys):
+    """Whether `build_lax` builds the small pair of the kind."""
+    try:
+        build_lax(sys, random_state(sys, 0), "small")
+    except ValueError:
+        return False
+    return True
+
+
 # the pair systems: every small-pair kind, plus a deep hierarchy whose
 # Delta_k take powers of the parameter up to the fourth
-SMALL_SYSTEMS = [sys for sys in STACK_SYSTEMS if sys.kind in _SMALL_KINDS] + [
+SMALL_SYSTEMS = [sys for sys in STACK_SYSTEMS if has_small_pair(sys)] + [
     SystemSpec("separable_hierarchy", AXES, sigmas=(0.5, -0.3, 0.2, 0.1, -0.05),
                mu=(0.3, 0.0, 0.25)),
 ]
@@ -496,7 +509,8 @@ SMALL_IDS = [f"{sys.kind}-{sys.a.size}-m{len(sys.sigmas)}" for sys in SMALL_SYST
 
 class TestParameterStacks:
     def test_every_small_kind_is_covered(self):
-        assert {sys.kind for sys in SMALL_SYSTEMS} == set(_SMALL_KINDS)
+        small = {kind for kind, spec in STRUCTURE_SYSTEMS.items() if has_small_pair(spec)}
+        assert {sys.kind for sys in SMALL_SYSTEMS} == small
 
     @pytest.mark.parametrize("sys", SMALL_SYSTEMS,
                              ids=SMALL_IDS)
@@ -620,6 +634,89 @@ class TestRankReport:
         sys = SystemSpec(kind, AXES, **field)
         with pytest.raises(ValueError, match="quadratic kinds"):
             gradient_rank_report(sys, random_state(sys, 25))
+
+
+# one system of every kind
+STRUCTURE_SYSTEMS = {
+    "jacobi": SystemSpec("jacobi", AXES, sigma=0.5),
+    "double_jacobi": SystemSpec("double_jacobi", AXES, sigma=0.3),
+    "complex_jacobi": SystemSpec("complex_jacobi", AXES, sigma=0.4),
+    "jacobi_rosochatius": SystemSpec("jacobi_rosochatius", AXES, sigma=0.4,
+                                     mu=(0.2, 0.0, 0.3)),
+    "separable_hierarchy": SystemSpec("separable_hierarchy", AXES, sigmas=(0.5, -0.3),
+                                      mu=(0.3, 0.0, 0.25)),
+    "free_oscillator": SystemSpec("free_oscillator", (2.0, 1.0), sigma=4.0),
+    "free_jr": SystemSpec("free_jr", (2.0, 1.0, 0.5), sigma=0.5, mu=(0.0, 0.3, 0.0)),
+}
+
+# what each kind does, column by column: complex coordinates, a second pair
+# (xi, eta), `project` moves a state, `build_lax` builds the small pair, the
+# big pair, `gradient_rank_report` runs, `integral_family` gives a
+# `relation_residual`, and it gives `charges`
+STRUCTURE = {
+    "jacobi":              (False, False, True,  True,  True,  True,  True,  False),
+    "double_jacobi":       (False, True,  True,  True,  True,  False, False, False),
+    "complex_jacobi":      (True,  False, True,  True,  False, False, False, True),
+    "jacobi_rosochatius":  (False, False, True,  True,  False, True,  True,  False),
+    "separable_hierarchy": (False, False, True,  True,  False, False, True,  False),
+    "free_oscillator":     (True,  False, False, False, False, False, False, False),
+    "free_jr":             (False, False, False, True,  False, True,  False, False),
+}
+
+
+def runs(call) -> bool:
+    """False when `call` raises the ValueError of an unsupported kind."""
+    try:
+        call()
+    except ValueError:
+        return False
+    return True
+
+
+class TestKindStructure:
+    def test_every_kind_has_a_row(self):
+        assert tuple(STRUCTURE) == tuple(STRUCTURE_SYSTEMS) == KINDS
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_each_kind_behaves_as_its_row_says(self, kind):
+        sys = STRUCTURE_SYSTEMS[kind]
+        s = random_state(sys, 40)
+        invariant = random_double_invariant_state(sys, 40) if s.xi is not None else s
+        moved = PhaseState(1.001 * s.x, 1.001 * s.y, 0.0,
+                           None if s.xi is None else 1.001 * s.xi,
+                           None if s.eta is None else 1.001 * s.eta)
+        fam = integral_family(sys, s)
+        got = (s.x.dtype == complex,
+               s.xi is not None and s.eta is not None,
+               not np.array_equal(project(sys, moved).x, moved.x),
+               runs(lambda: build_lax(sys, s, "small")),
+               runs(lambda: build_lax(sys, invariant, "big")),
+               runs(lambda: gradient_rank_report(sys, s)),
+               fam.relation_residual is not None,
+               fam.charges is not None)
+        assert s.x.dtype in (float, complex) and s.y.dtype == s.x.dtype
+        assert got == STRUCTURE[kind]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_the_spec_states_the_row_of_its_kind(self, kind):
+        sys = STRUCTURE_SYSTEMS[kind]
+        row = STRUCTURE[kind]
+        assert (sys.complex, sys.paired, sys.constrained) == row[:3]
+        assert (has_pair(sys, "small"), has_pair(sys, "big")) == row[3:5]
+        charged = runs(lambda: SystemSpec(kind, AXES, sigmas=sys.sigmas, mu=(0.1, 0.0, 0.0)))
+        weighted = runs(lambda: SystemSpec(kind, AXES, sigmas=(0.5,)))
+        assert (sys.takes_charges, sys.takes_weights) == (charged, weighted)
+        # read-only, and not dataclass fields: == and hash see the fields only
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sys.paired = not sys.paired
+        twin = SystemSpec(kind, sys.axes, sys.sigma, sys.sigmas, sys.mu)
+        assert twin == sys and hash(twin) == hash(sys)
+        assert [f.name for f in dataclasses.fields(sys)] == ["kind", "axes", "sigma",
+                                                             "sigmas", "mu"]
+
+    def test_an_unknown_pair_is_rejected(self):
+        with pytest.raises(ValueError, match="'small' or 'big'"):
+            has_pair(STRUCTURE_SYSTEMS["jacobi"], "medium")
 
 
 class TestSpectralConservation:

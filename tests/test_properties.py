@@ -1,16 +1,23 @@
-"""Property tests: round trips of the two coordinate changes and the bounce
-invariant, over inputs drawn by hypothesis.
+"""Property tests: round trips of the two coordinate changes, the bounce
+invariant, and the exit code of every run config, over inputs drawn by
+hypothesis.
 
 `derandomize=True` makes every run draw the same examples, so the suite
 stays reproducible; `deadline=None` keeps a slow host from failing a test.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
+import yaml
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_cli import within_seconds
 
 from confocal.billiard import BilliardSpec, ImpactState, impact_invariant, jr_step
-from confocal.dynamics import torus_reconstruct, torus_reduce
+from confocal.cli import main
+from confocal.dynamics import KINDS, torus_reconstruct, torus_reduce
 from confocal.errors import GrazingOrSingularError, SingularAxisError
 from confocal.geometry import EllipsoidSpec, coords_from_elliptic, elliptic_coords
 
@@ -68,3 +75,81 @@ def test_jr_step_preserves_the_magnitude_of_J(case, x, y, bounces):
         except (GrazingOrSingularError, SingularAxisError):
             assume(False)
         assert abs(abs(impact_invariant(spec, s)) - J0) <= 1e-9 * (1.0 + J0)
+
+
+# ---------------------------------------------------------------------------
+# config fuzz: every schema-shaped config ends in a documented exit code
+# ---------------------------------------------------------------------------
+
+positive = st.one_of(st.floats(0.05, 5.0), st.sampled_from([1e-3, 1e3]))
+number = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, 1e-9, 1e3]))
+charge = st.one_of(st.just(0.0), st.floats(0.05, 1.0), st.sampled_from([1e3, -1.0]))
+
+
+def config_vectors(n, elements=number):
+    """Vectors of the axes' length (tests/test_cli.py checks wrong lengths)."""
+    return st.lists(elements, min_size=n, max_size=n)
+
+
+@st.composite
+def optional_keys(draw, strategies: dict) -> dict:
+    return {key: draw(s) for key, s in strategies.items() if draw(st.booleans())}
+
+
+@st.composite
+def simulate_configs(draw) -> dict:
+    n = draw(st.integers(1, 4))
+    system = {"kind": draw(st.sampled_from(KINDS)), "axes": draw(config_vectors(n, positive))}
+    # sigma most often, then weights sigmas, both or neither
+    fields = draw(st.sampled_from([(), ("sigma",), ("sigma",), ("sigmas",), ("sigma", "sigmas")]))
+    system.update({key: draw(number if key == "sigma" else
+                             st.lists(number, min_size=1, max_size=3)) for key in fields})
+    system.update(draw(optional_keys({"mu": config_vectors(n, charge)})))
+    # a full state, with none, one or both of the second pair, is drawn most often
+    state = st.sampled_from([(), ("xi",), ("eta",), ("xi", "eta")]).flatmap(
+        lambda extra: st.fixed_dictionaries(
+            {key: config_vectors(n) for key in ("x", "y") + extra}))
+    initial = draw(st.one_of(
+        st.just({}), st.integers(1, 2).map(lambda c: {"random": {"count": c}}),
+        state, state, state,
+        optional_keys({key: config_vectors(n) for key in ("x", "y", "xi", "eta")})))
+    return {"version": 1, "system": system, "initial": initial,
+            "integrator": {"h": draw(st.sampled_from([1e-3, 1e-2, 0.05, 0.3])),
+                           "T": draw(st.floats(0.01, 0.2))}}
+
+
+@st.composite
+def billiard_configs(draw) -> dict:
+    n = draw(st.integers(1, 4))
+    # hypothesis starts from the simplest draw, so list the longest run first
+    billiard = {"axes": draw(config_vectors(n, positive)),
+                "bounces": draw(st.sampled_from([5, 4, 3, 2, 1]))}
+    billiard.update(draw(optional_keys({
+        "sigma": number, "mu": config_vectors(n, charge), "oracle_check": st.booleans(),
+        "poncelet_max": st.integers(0, 5),
+        "initial": optional_keys({"x": config_vectors(n), "y": config_vectors(n)})})))
+    return {"version": 1, "billiard": billiard}
+
+
+FUZZ = settings(derandomize=True, deadline=None, max_examples=100)
+
+
+def run_config(command: str, config: dict, seed: int) -> int:
+    """cli.main on the config, written to a fresh directory that takes the output."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.yaml"
+        path.write_text(yaml.safe_dump(config))
+        with within_seconds(20):
+            return main([command, "--config", str(path), "--seed", str(seed), "--out", tmp])
+
+
+@FUZZ
+@given(simulate_configs(), st.integers(0, 3))
+def test_every_simulate_config_ends_in_an_exit_code(config, seed):
+    assert run_config("simulate", config, seed) in (0, 1, 2, 3)
+
+
+@FUZZ
+@given(billiard_configs(), st.integers(0, 3))
+def test_every_billiard_config_ends_in_an_exit_code(config, seed):
+    assert run_config("billiard", config, seed) in (0, 1, 2, 3)
