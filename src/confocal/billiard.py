@@ -16,11 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import PhaseState, SystemSpec
+from .dynamics import PhaseState, SystemSpec, torus_reconstruct
 from .errors import (
     DimensionError,
     EscapeError,
-    FormulaConsistencyError,
     GrazingOrSingularError,
     SingularAxisError,
 )
@@ -69,17 +68,26 @@ def impact_invariant(spec: BilliardSpec, s: ImpactState) -> float:
     return 2.0 * float((s.x / spec.a) @ s.y)
 
 
-def _map_coefficients(spec: BilliardSpec, s: ImpactState):
+def _lift(spec: BilliardSpec, s: ImpactState):
+    """Complex state of an impact state: z = x and p = y + i mu/x."""
+    if (s.x[spec.mu_arr != 0] < 1e-9).any():
+        raise SingularAxisError("charged coordinate not positive at the impact")
+    return torus_reconstruct(s.x, s.y, spec.mu_arr, 0.0)
+
+
+def _positions(spec: BilliardSpec, z) -> np.ndarray:
+    """Real positions of lifted ones: |z| on charged coordinates, Re z (with
+    its sign) on the others."""
+    return np.where(spec.mu_arr != 0, np.abs(z), z.real)
+
+
+def _map_coefficients(spec: BilliardSpec, z, p):
+    """J, K and nu of the bounce map at the complex state (z, p)."""
     a = spec.a
-    mu = spec.mu_arr
-    J = impact_invariant(spec, s)
+    J = 2.0 * float(np.vdot(p, z / a).real)
     if abs(J) < GRAZE_TOL:
         raise GrazingOrSingularError(f"grazing impact, J={J}")
-    nz = mu != 0
-    if nz.any() and np.any(s.x[nz] < 1e-9):
-        raise SingularAxisError("charged coordinate not positive at the impact")
-    charge = float(((mu[nz] / s.x[nz]) ** 2 / a[nz]).sum()) if nz.any() else 0.0
-    K = spec.sigma - float((s.y / a) @ s.y) - charge
+    K = spec.sigma - float(np.vdot(p, p / a).real)
     nusq = spec.sigma * J * J + K * K
     if nusq <= MAP_TOL:
         raise GrazingOrSingularError(f"map denominator nu^2={nusq} not positive")
@@ -87,66 +95,39 @@ def _map_coefficients(spec: BilliardSpec, s: ImpactState):
 
 
 def jr_step(spec: BilliardSpec, s: ImpactState) -> ImpactState:
-    """One bounce of the explicit map.
+    """One bounce of the explicit map: `fedorov_step` on the lifted state.
 
-    Charged coordinates take the positive root of the squared update; the
-    momentum update is evaluated in complex arithmetic and must come out
-    real after removing the charge term, which guards the transcription.
+    The impact state lifts to z = x, p = y + i mu/x (`torus_reconstruct` at
+    zero phase).  The complex map conserves each charge Im(conj(z_k) p_k), so
+    its image reduces to x_k = |z_k|, y_k = Re(conj(z_k) p_k)/|z_k| on a
+    charged coordinate, which stays positive, and to Re z_k, Re p_k on a
+    chargeless one, which keeps its sign.
     """
-    a = spec.a
-    mu = spec.mu_arr
-    J, K, nu = _map_coefficients(spec, s)
-    x, y = s.x, s.y
-    nz = mu != 0
-    w = np.zeros(a.size)
-    w[nz] = mu[nz] / x[nz]
-    # complex amplitude whose modulus/argument carry the charged update
-    amp = -K * x - J * y - 1j * J * w
-    x1 = np.where(nz, np.abs(amp) / nu, (-(K * x + J * y)) / nu)
-    if np.any(x1[nz] < 1e-9):
+    z1, p1 = fedorov_step(spec, *_lift(spec, s))
+    nz = spec.mu_arr != 0
+    x1 = _positions(spec, z1)
+    if (x1[nz] < 1e-9).any():
         raise SingularAxisError("charged coordinate collapsed at the new impact")
-    x1 = x1 / np.sqrt((x1 / a) @ x1)
-    pi = J / float((x1 / a**2) @ x1)
-    y1 = np.empty(a.size)
-    for j in range(a.size):
-        if nz[j]:
-            phase = np.exp(-1j * np.angle(amp[j]))
-            val = (-phase / nu * (K * (pi / a[j] * x[j] + y[j] + 1j * mu[j] / x[j]))
-                   - J * phase / nu * (pi / a[j] * y[j] - spec.sigma * x[j]
-                                       + 1j * pi * mu[j] / (a[j] * x[j]))
-                   - 1j * mu[j] / x1[j])
-            if abs(val.imag) > 1e-8:
-                raise FormulaConsistencyError(
-                    f"momentum update left imaginary residue {val.imag:.3e}")
-            y1[j] = val.real
-        else:
-            y1[j] = -(K * (pi / a[j] * x[j] + y[j])
-                      + J * (pi / a[j] * y[j] - spec.sigma * x[j])) / nu
+    y1 = p1.real.copy()
+    y1[nz] = (np.conj(z1[nz]) * p1[nz]).real / x1[nz]
     return ImpactState(x1, y1, s.k + 1)
 
 
 def fedorov_step(spec: BilliardSpec, z, p):
     """One bounce of the complex harmonic-oscillator billiard map.
 
-    Defined for chargeless specs; the real reduction of this map is `jr_step`.
+    (z, p) is a boundary point of C^n, <z, a^-1 conj(z)> = 1, with its
+    outgoing momentum.  A charge mu_k rides in p_k as Im(conj(z_k) p_k); the
+    map conserves it, and its real reduction is `jr_step`.
     """
-    if np.any(spec.mu_arr != 0):
-        raise ValueError("the complex map takes no charges")
     a = spec.a
     z = np.asarray(z, dtype=complex)
     p = np.asarray(p, dtype=complex)
-    J = float(((z / a) @ np.conj(p) + (np.conj(z) / a) @ p).real)
-    if abs(J) < GRAZE_TOL:
-        raise GrazingOrSingularError(f"grazing impact, J={J}")
-    K = spec.sigma - float(((p / a) @ np.conj(p)).real)
-    nusq = spec.sigma * J * J + K * K
-    if nusq <= MAP_TOL:
-        raise GrazingOrSingularError(f"map denominator nu^2={nusq} not positive")
-    nu = float(np.sqrt(nusq))
+    J, K, nu = _map_coefficients(spec, z, p)
     z1 = -(K * z + J * p) / nu
-    z1 = z1 / np.sqrt(((z1 / a) @ np.conj(z1)).real)
-    pi = J / float(((z1 / a**2) @ np.conj(z1)).real)
-    p1 = -(K * (p + pi * z / a) + J * (pi * p / a - spec.sigma * z)) / nu
+    z1 = z1 / np.sqrt(np.vdot(z1, z1 / a).real)
+    w = J / float(np.vdot(z1, z1 / a**2).real) / a  # pi / a
+    p1 = -(K * (p + w * z) + J * (w * p - spec.sigma * z)) / nu
     return z1, p1
 
 
@@ -274,28 +255,22 @@ def oracle_step(spec: BilliardSpec, s: ImpactState) -> ImpactState:
 def flight(spec: BilliardSpec, s: ImpactState, t):
     """Closed-form free-flow arc from an impact state, sampled at times t.
 
-    Each coordinate is lifted to the complex plane (charge as angular
-    momentum), evolved as a harmonic oscillator, and projected back.
-    Returns an array of positions with shape (len(t), len(spec.axes)).
+    The state is lifted as in `jr_step`, each coordinate evolves as a
+    harmonic oscillator, and the positions reduce back.  Returns an array of
+    positions with shape (len(t), len(spec.axes)).
     """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    mu = spec.mu_arr
-    nz = mu != 0
-    z0 = s.x.astype(complex)
-    p0 = s.y.astype(complex)
-    p0[nz] += 1j * mu[nz] / s.x[nz]
+    t = np.atleast_1d(np.asarray(t, dtype=float))[:, None]
+    z0, p0 = _lift(spec, s)
     sig = spec.sigma
     if sig == 0.0:
-        z = z0[None, :] + t[:, None] * p0[None, :]
+        z = z0 + t * p0
     elif sig > 0.0:
         w = np.sqrt(sig)
-        z = np.cos(w * t)[:, None] * z0[None, :] + (np.sin(w * t) / w)[:, None] * p0[None, :]
+        z = np.cos(w * t) * z0 + np.sin(w * t) / w * p0
     else:
         w = np.sqrt(-sig)
-        z = np.cosh(w * t)[:, None] * z0[None, :] + (np.sinh(w * t) / w)[:, None] * p0[None, :]
-    out = z.real.copy()
-    out[:, nz] = np.abs(z[:, nz])
-    return out
+        z = np.cosh(w * t) * z0 + np.sinh(w * t) / w * p0
+    return _positions(spec, z)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +292,7 @@ def discrete_lax_check(spec: BilliardSpec, s: ImpactState, s_next: ImpactState,
     lam = np.asarray(lambdas, dtype=float)
     if np.any(np.abs(lam) < 1e-12):
         raise GrazingOrSingularError("companion matrix is singular at lam=0")
-    J, K, _ = _map_coefficients(spec, s)
+    J, K, _ = _map_coefficients(spec, *_lift(spec, s))
     pi = J / float((s_next.x / spec.a**2) @ s_next.x)
     A = _mat2(K * lam + J * pi, spec.sigma * J * lam - K * pi, -J * lam, K * lam)
     # the free-flow spectral matrices of the two impact states

@@ -230,10 +230,15 @@ def cmd_verify(cfg: dict, seed: int, out_dir: Path, suite_names, overrides) -> i
 
 
 def _read_table(path: Path) -> tuple[list[str], np.ndarray]:
-    lines = path.read_text().strip().splitlines()
-    header = lines[0].split(",")
-    data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-    return header, data
+    try:
+        lines = path.read_text().strip().splitlines()
+        header = lines[0].split(",")
+        rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
+    except (OSError, IndexError, ValueError) as exc:
+        raise ConfigError(f"plot: unreadable input table {path}: {exc!r}") from exc
+    if any(len(r) != len(header) for r in rows):
+        raise ConfigError(f"plot: a row of {path} does not match its header")
+    return header, np.array(rows)
 
 
 def cmd_plot(cfg: dict, out_dir: Path) -> int:
@@ -242,6 +247,10 @@ def cmd_plot(cfg: dict, out_dir: Path) -> int:
     axes = pc.get("axes")
     caustics = pc.get("caustics", ())
     mu = pc.get("mu")
+    if axes is not None and len(axes) < 2:
+        raise ConfigError("plot: axes need two entries, one per plotted coordinate")
+    if axes is not None and mu is not None and len(mu) != len(axes):
+        raise ConfigError(f"plot: mu has {len(mu)} entries for {len(axes)} axes")
     if kind == "domain":
         svg = svgplot.render(axes=axes, mu=mu, title="billiard domain")
     else:

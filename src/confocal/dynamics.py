@@ -97,13 +97,15 @@ class PhaseState:
     eta: np.ndarray | None = None
 
     def __post_init__(self):
+        if (self.xi is None) != (self.eta is None):
+            raise DimensionError("xi and eta must be given together")
         self.x = np.asarray(self.x)
         self.y = np.asarray(self.y)
-        if self.x.shape != self.y.shape:
-            raise DimensionError("x and y must have equal shapes")
         if self.xi is not None:
             self.xi = np.asarray(self.xi)
             self.eta = np.asarray(self.eta)
+        if any(v.shape != self.x.shape for v in (self.y, self.xi, self.eta) if v is not None):
+            raise DimensionError("y, xi and eta must have the shape of x")
 
     def copy(self) -> "PhaseState":
         return PhaseState(self.x.copy(), self.y.copy(), self.t,

@@ -57,9 +57,5 @@ class EscapeError(ConfocalError):
     """Billiard segment never returned to the boundary within the time budget."""
 
 
-class FormulaConsistencyError(ConfocalError):
-    """Internal consistency check of the reflection formulas failed."""
-
-
 class ConfigError(ConfocalError):
     """Run configuration is malformed or violates the schema."""

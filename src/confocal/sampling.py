@@ -54,7 +54,7 @@ def random_state(sys: SystemSpec, seed_or_rng=0, y_scale: float = 1.0) -> PhaseS
 def _random_double(sys: SystemSpec, rng, y_scale: float, invariant: bool) -> PhaseState:
     a = sys.a
     n1 = a.size
-    while True:
+    for _ in range(_MAX_DRAWS):
         x = rng.normal(size=n1)
         xi = rng.normal(size=n1)
         g = (x / a) @ xi
@@ -69,6 +69,9 @@ def _random_double(sys: SystemSpec, rng, y_scale: float, invariant: bool) -> Pha
         # the flow's multiplier denominator must stay away from zero
         if abs((x / a**2) @ xi) > 0.2 / float(np.max(a)):
             break
+    else:
+        raise MultiplierSingularError(f"no position draw in {_MAX_DRAWS} keeps the "
+                                      "pairings of x and xi off zero")
     for _ in range(_MAX_DRAWS):
         y = y_scale * rng.normal(size=n1)
         eta = y_scale * rng.normal(size=n1)

@@ -24,7 +24,7 @@ from confocal.billiard import (
     tangent_state,
 )
 from confocal import suites
-from confocal.dynamics import SystemSpec, energy, integrate, PhaseState
+from confocal.dynamics import SystemSpec, energy, integrate, PhaseState, torus_reconstruct
 from confocal.errors import (
     DimensionError,
     EscapeError,
@@ -130,13 +130,88 @@ class TestComplexMap:
         np.testing.assert_allclose(z2, theta * z1, atol=1e-12)
         np.testing.assert_allclose(p2, theta * p1, atol=1e-12)
 
-    def test_charged_spec_rejected(self):
-        spec = BilliardSpec((2.0, 1.0), mu=(0.0, 0.3))
-        with pytest.raises(ValueError):
-            fedorov_step(spec, np.array([0j, 1j]), np.array([1j, 0j]))
+
+def jr_step_reference(spec, s):
+    """Reference: the per-coordinate transcription of the bounce map that
+    `jr_step` replaced, with its own real coefficients and the check that
+    each charged momentum update comes out real."""
+    a, mu, sig = spec.a, spec.mu_arr, spec.sigma
+    x, y = s.x, s.y
+    J = 2.0 * float((x / a) @ y)
+    if abs(J) < 1e-8:
+        raise GrazingOrSingularError(f"grazing impact, J={J}")
+    nz = mu != 0
+    if nz.any() and np.any(x[nz] < 1e-9):
+        raise SingularAxisError("charged coordinate not positive at the impact")
+    charge = float(((mu[nz] / x[nz]) ** 2 / a[nz]).sum()) if nz.any() else 0.0
+    K = sig - float((y / a) @ y) - charge
+    nusq = sig * J * J + K * K
+    if nusq <= 1e-12:
+        raise GrazingOrSingularError(f"map denominator nu^2={nusq} not positive")
+    nu = float(np.sqrt(nusq))
+    w = np.zeros(a.size)
+    w[nz] = mu[nz] / x[nz]
+    amp = -K * x - J * y - 1j * J * w
+    x1 = np.where(nz, np.abs(amp) / nu, (-(K * x + J * y)) / nu)
+    if np.any(x1[nz] < 1e-9):
+        raise SingularAxisError("charged coordinate collapsed at the new impact")
+    x1 = x1 / np.sqrt((x1 / a) @ x1)
+    pi = J / float((x1 / a**2) @ x1)
+    y1 = np.empty(a.size)
+    for j in range(a.size):
+        if nz[j]:
+            phase = np.exp(-1j * np.angle(amp[j]))
+            val = (-phase / nu * (K * (pi / a[j] * x[j] + y[j] + 1j * mu[j] / x[j]))
+                   - J * phase / nu * (pi / a[j] * y[j] - sig * x[j]
+                                       + 1j * pi * mu[j] / (a[j] * x[j]))
+                   - 1j * mu[j] / x1[j])
+            assert abs(val.imag) < 1e-8, "momentum update left an imaginary residue"
+            y1[j] = val.real
+        else:
+            y1[j] = -(K * (pi / a[j] * x[j] + y[j])
+                      + J * (pi / a[j] * y[j] - sig * x[j])) / nu
+    return ImpactState(x1, y1, s.k + 1)
 
 
 class TestBounceMap:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_lifted_complex_map_matches_the_reference(self, seed):
+        # the 18 cases of the billiard-oracle suite, 50 bounces each; a draw
+        # on which either side raises must raise the same class on the other
+        rng = np.random.default_rng(seed)
+        compared, raised = 0, 0
+        for n in (2, 3):
+            base, mus = suites._billiard_specs(n)
+            for mu in mus.values():
+                for sigma in (-1.0, 0.0, 0.3):
+                    spec = BilliardSpec(base, sigma=sigma, mu=mu)
+                    s = ImpactState(*random_impact_state(base, sigma, mu, rng, speed=1.3))
+                    for _ in range(50):
+                        try:
+                            ref = jr_step_reference(spec, s)
+                        except (GrazingOrSingularError, SingularAxisError) as exc:
+                            with pytest.raises(type(exc)):
+                                jr_step(spec, s)
+                            raised += 1
+                            s = ImpactState(*random_impact_state(base, sigma, mu, rng,
+                                                                 speed=1.3))
+                            continue
+                        got = jr_step(spec, s)
+                        np.testing.assert_allclose(got.x, ref.x, rtol=0, atol=1e-13)
+                        np.testing.assert_allclose(got.y, ref.y, rtol=0, atol=1e-13)
+                        assert got.k == ref.k
+                        compared += 1
+                        s = ref
+        assert compared + raised == 18 * 50
+
+    @pytest.mark.parametrize("x1", [0.0, -0.3], ids=["on-axis", "negative"])
+    def test_charged_coordinate_not_positive_at_the_impact(self, x1):
+        spec = BilliardSpec((2.0, 1.0), sigma=0.3, mu=(0.0, 0.25))
+        s = ImpactState(np.array([np.sqrt(2.0 * (1.0 - x1**2)), x1]), np.array([-1.0, 0.2]))
+        for step in (jr_step_reference, jr_step):
+            with pytest.raises(SingularAxisError, match="not positive"):
+                step(spec, s)
+
     def test_planar_chord_map_long_run(self):
         spec = BilliardSpec((2.0, 1.0))
         x, y = random_impact_state(spec.axes, 0.0, spec.mu, 3)
@@ -472,11 +547,10 @@ def discrete_lax_check_per_parameter(spec, s, s_next, lambdas):
     pair1 = LaxPair2(spec, s_next.x, s_next.y)
     out = []
     for lam in lambdas:
-        J = 2.0 * float((s.x / a) @ s.y)
-        mu = spec.mu_arr
-        nz = mu != 0
-        charge = float(((mu[nz] / s.x[nz]) ** 2 / a[nz]).sum()) if nz.any() else 0.0
-        K = spec.sigma - float((s.y / a) @ s.y) - charge
+        # J and K of the lifted state z = x, p = y + i mu/x
+        z, p = torus_reconstruct(s.x, s.y, spec.mu_arr, 0.0)
+        J = 2.0 * float(np.vdot(p, z / a).real)
+        K = spec.sigma - float(np.vdot(p, p / a).real)
         pi = J / float((s_next.x / a**2) @ s_next.x)
         A = np.array([[K * lam + J * pi, spec.sigma * J * lam - K * pi],
                       [-J * lam, K * lam]])

@@ -298,6 +298,20 @@ integrator: {h: 1.0e-3, T: 0.01}
         err = capsys.readouterr().err
         assert "multiplier within 8" in err and "Traceback" not in err
 
+    def test_double_flow_positions_never_paired_are_a_singularity(self, tmp_path, capsys):
+        # on 300 equal axes |cos(x, xi)| > 0.3 has probability about 2e-7, so
+        # the bounded position draw must give up with exit 3
+        axes = ", ".join(["1.0"] * 300)
+        cfg = write(tmp_path / "cfg.yaml", f"""\
+version: 1
+system: {{kind: double_jacobi, axes: [{axes}], sigma: 0.3}}
+integrator: {{h: 1.0e-3, T: 0.01}}
+""")
+        with within_seconds(10):
+            assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "pairings of x and xi" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("key", ["x", "y", "xi", "eta"])
     def test_initial_vector_of_the_wrong_length_is_a_config_error(self, tmp_path,
                                                                  capsys, key):
@@ -624,6 +638,25 @@ output: {{dir: {tmp_path/'plot'}}}
         assert main(["plot", "--config", plot]) == 0
         svg = (tmp_path / "plot" / "plot.svg").read_text()
         assert "polyline" in svg
+
+    @pytest.mark.parametrize("plot,table", [
+        ("{kind: domain, axes: [2.0]}", None),
+        ("{kind: orbit, axes: [2.0], input: TABLE}", "x0,x1\n0.5,0.1\n"),
+        ("{axes: [2.0, 1.0], mu: [0.3], input: TABLE}", "x0,x1\n0.5,0.1\n"),
+        ("{input: TABLE}", None),
+        ("{input: TABLE}", "x0,x1\n0.5,abc\n"),
+    ], ids=["domain-one-axis", "orbit-one-axis", "short-mu", "missing-input",
+            "non-numeric-cell"])
+    def test_bad_plot_config_is_a_config_error(self, tmp_path, capsys, plot, table):
+        path = tmp_path / "table.csv"
+        if table is not None:
+            path.write_text(table)
+        plot = plot.replace("TABLE", str(path))
+        cfg = write(tmp_path / "plot.yaml", f"version: 1\nplot: {plot}\n")
+        assert main(["plot", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+        assert not (tmp_path / "plot.svg").exists()
 
     def test_empty_trajectory_still_renders_axes(self):
         svg = render(trajectory=np.zeros((0, 2)))

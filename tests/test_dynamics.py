@@ -19,6 +19,7 @@ from confocal.dynamics import (
 )
 from confocal.errors import (
     ConstraintError,
+    DimensionError,
     MultiplierSingularError,
     ProjectionError,
     ReductionSingularError,
@@ -233,6 +234,14 @@ class TestRightHandSides:
         vj, vd = rhs(sysj, s), rhs(sysd, sd)
         np.testing.assert_allclose(vd.y, vj.y, rtol=1e-14)
         np.testing.assert_allclose(vd.eta, vj.y, rtol=1e-14)
+
+    @pytest.mark.parametrize("extra", [
+        ([1.0, 0.0, 0.0], None), (None, [0.0, 1.0, 0.0]),
+        ([1.0, 0.0], [0.0, 1.0]), ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]),
+    ], ids=["xi-only", "eta-only", "short-pair", "long-eta"])
+    def test_half_or_misshapen_second_pair_rejected(self, extra):
+        with pytest.raises(DimensionError):
+            PhaseState([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], 0.0, *extra)
 
     def test_off_manifold_rejected(self):
         sys = SystemSpec("jacobi", AXES)

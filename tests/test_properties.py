@@ -153,3 +153,37 @@ def test_every_simulate_config_ends_in_an_exit_code(config, seed):
 @given(billiard_configs(), st.integers(0, 3))
 def test_every_billiard_config_ends_in_an_exit_code(config, seed):
     assert run_config("billiard", config, seed) in (0, 1, 2, 3)
+
+
+MISSING = "<no such file>"
+
+
+@st.composite
+def plot_configs(draw) -> tuple[dict, str | None]:
+    """A plot config and the text of its input table: None for no `input`,
+    MISSING for a path that does not exist."""
+    plot = draw(optional_keys({
+        "kind": st.sampled_from(["trajectory", "orbit", "domain"]),
+        "axes": st.integers(1, 4).flatmap(lambda n: config_vectors(n, positive)),
+        "mu": st.integers(1, 4).flatmap(lambda n: config_vectors(n, charge)),
+        "caustics": st.lists(number, min_size=1, max_size=3),
+        "columns": st.lists(st.sampled_from(["x0", "x1", "y1", "t"]), min_size=2, max_size=2),
+    }))
+    header = draw(st.sampled_from(["t,x0,x1,y0,y1", "x0,x1", "t,x0"]))
+    rows = draw(st.lists(config_vectors(header.count(",") + 1), max_size=4))
+    table = "\n".join([header] + [",".join(map(str, row)) for row in rows])
+    malformed = st.sampled_from(["", "x0,x1\n0.5,abc", "x0,x1\n0.5", "x0,x1\n0.5,0.1,0.2"])
+    return plot, draw(st.one_of(st.just(table), st.just(MISSING), malformed, st.none()))
+
+
+@FUZZ
+@given(plot_configs())
+def test_every_plot_config_ends_in_an_exit_code(case):
+    plot, table = case
+    with tempfile.TemporaryDirectory() as tables:
+        if table is not None:
+            path = Path(tables) / "table.csv"
+            if table != MISSING:
+                path.write_text(table)
+            plot = {**plot, "input": str(path)}
+        assert run_config("plot", {"version": 1, "plot": plot}, 0) in (0, 1, 2, 3)
