@@ -75,12 +75,6 @@ def _lift(spec: BilliardSpec, s: ImpactState):
     return torus_reconstruct(s.x, s.y, spec.mu_arr, 0.0)
 
 
-def _positions(spec: BilliardSpec, z) -> np.ndarray:
-    """Real positions of lifted ones: |z| on charged coordinates, Re z (with
-    its sign) on the others."""
-    return np.where(spec.mu_arr != 0, np.abs(z), z.real)
-
-
 def _map_coefficients(spec: BilliardSpec, z, p):
     """J, K and nu of the bounce map at the complex state (z, p)."""
     a = spec.a
@@ -105,7 +99,7 @@ def jr_step(spec: BilliardSpec, s: ImpactState) -> ImpactState:
     """
     z1, p1 = fedorov_step(spec, *_lift(spec, s))
     nz = spec.mu_arr != 0
-    x1 = _positions(spec, z1)
+    x1 = np.where(nz, np.abs(z1), z1.real)
     if (x1[nz] < 1e-9).any():
         raise SingularAxisError("charged coordinate collapsed at the new impact")
     y1 = p1.real.copy()
@@ -252,27 +246,6 @@ def oracle_step(spec: BilliardSpec, s: ImpactState) -> ImpactState:
     return ImpactState(xh, y1, s.k + 1)
 
 
-def flight(spec: BilliardSpec, s: ImpactState, t):
-    """Closed-form free-flow arc from an impact state, sampled at times t.
-
-    The state is lifted as in `jr_step`, each coordinate evolves as a
-    harmonic oscillator, and the positions reduce back.  Returns an array of
-    positions with shape (len(t), len(spec.axes)).
-    """
-    t = np.atleast_1d(np.asarray(t, dtype=float))[:, None]
-    z0, p0 = _lift(spec, s)
-    sig = spec.sigma
-    if sig == 0.0:
-        z = z0 + t * p0
-    elif sig > 0.0:
-        w = np.sqrt(sig)
-        z = np.cos(w * t) * z0 + np.sin(w * t) / w * p0
-    else:
-        w = np.sqrt(-sig)
-        z = np.cosh(w * t) * z0 + np.sinh(w * t) / w * p0
-    return _positions(spec, z)
-
-
 # ---------------------------------------------------------------------------
 # discrete spectral data
 # ---------------------------------------------------------------------------
@@ -378,7 +351,7 @@ def orbit_caustics(spec: BilliardSpec, orbit: BilliardOrbit) -> dict:
                 if float(eta) in degenerate:
                     continue
                 tangency_max = float(np.maximum(tangency_max, abs(
-                    tangency_value(spec.a, s.x, s.y, float(eta), 0.0))))
+                    tangency_value(spec.a, s.x, s.y, float(eta)))))
     per_seg_ok = all(r.size == etas.size for r in orbit.segment_roots)
     return {
         "etas": etas,

@@ -238,6 +238,8 @@ def _read_table(path: Path) -> tuple[list[str], np.ndarray]:
         raise ConfigError(f"plot: unreadable input table {path}: {exc!r}") from exc
     if any(len(r) != len(header) for r in rows):
         raise ConfigError(f"plot: a row of {path} does not match its header")
+    if not np.isfinite(rows).all():
+        raise ConfigError(f"plot: {path} has a non-finite cell")
     return header, np.array(rows)
 
 

@@ -17,10 +17,6 @@ class DegenerateChartError(ConfocalError):
     """Point lies on a coordinate hyperplane; the elliptic chart breaks down."""
 
 
-class InvalidCoordsError(ConfocalError):
-    """Parameters given to the inverse elliptic chart do not interlace the axes."""
-
-
 class PoleError(ConfocalError):
     """Spectral / confocal parameter coincides with an axis value."""
 

@@ -16,7 +16,6 @@ import numpy as np
 from .errors import (
     DegenerateChartError,
     DimensionError,
-    InvalidCoordsError,
     PoleError,
     SymmetricChartError,
 )
@@ -119,38 +118,6 @@ def elliptic_coords(spec: EllipsoidSpec, x) -> EllipticCoords:
     return EllipticCoords(lam, np.where(x > 0, 1, -1))
 
 
-def coords_from_elliptic(spec: EllipsoidSpec, ec: EllipticCoords) -> np.ndarray:
-    """Cartesian point from confocal parameters and signs (product formula)."""
-    a = spec.a
-    lam = np.asarray(ec.lam, dtype=float)
-    if lam.shape != a.shape:
-        raise DimensionError("coordinate count does not match the ellipsoid")
-    if spec.is_symmetric:
-        raise SymmetricChartError("elliptic coordinates need distinct axes")
-    _check_interlacing(a, lam)
-    x = np.empty(a.size)
-    for k in range(a.size):
-        num = np.prod(a[k] - lam)
-        den = np.prod(np.delete(a[k] - a, k))
-        r = num / den
-        if r < 0:
-            if r < -1e-12:
-                raise InvalidCoordsError(f"negative radicand {r} at index {k}")
-            r = 0.0
-        x[k] = ec.signs[k] * np.sqrt(r)
-    return x
-
-
-def _check_interlacing(axes: np.ndarray, lam: np.ndarray) -> None:
-    asrt = np.sort(axes)
-    lsrt = np.sort(lam)
-    ok = lsrt[0] < asrt[0]
-    for k in range(1, axes.size):
-        ok = ok and asrt[k - 1] < lsrt[k] < asrt[k]
-    if not ok:
-        raise InvalidCoordsError("parameters do not interlace the sorted axes")
-
-
 def _pole_guard(axes, lam) -> None:
     """Reject a parameter, or any entry of an array of them, within
     1e-10 max(1, max|a|) of an axis."""
@@ -170,12 +137,12 @@ def pole_form(axes, lam, u, v) -> complex | float | np.ndarray:
     return (np.asarray(u) * np.asarray(v) / (np.asarray(lam)[..., None] - a)).sum(axis=-1)
 
 
-def tangency_value(axes, x, y, eta: float, sigma: float = 0.0):
-    """Tangency functional of the line (sigma=0) or oscillator arc through (x, y).
+def tangency_value(axes, x, y, eta: float):
+    """Tangency functional of the line through x with direction y.
 
-    Returns (Q(x,x)+1)(Q(y,y)+sigma) - Q(x,y)^2 with Q the pole form at eta;
-    the value vanishes exactly when the trajectory through (x, y) touches the
-    confocal quadric with parameter eta.
+    Returns (Q(x,x)+1) Q(y,y) - Q(x,y)^2 with Q the pole form at eta; the
+    value vanishes exactly when the line touches the confocal quadric with
+    parameter eta.
     """
     a = _as_axes(axes)
     x = np.asarray(x, dtype=float)
@@ -186,5 +153,5 @@ def tangency_value(axes, x, y, eta: float, sigma: float = 0.0):
     qxx = pole_form(a, eta, x, x)
     qyy = pole_form(a, eta, y, y)
     qxy = pole_form(a, eta, x, y)
-    return float((qxx + 1.0) * (qyy + sigma) - qxy * qxy)
+    return float((qxx + 1.0) * qyy - qxy * qxy)
 

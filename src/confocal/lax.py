@@ -379,20 +379,6 @@ def det_L(sys: SystemSpec, s: PhaseState, lam):
     return build_lax(sys, s, "small").det_L(lam)
 
 
-def spectral_expansion(sys: SystemSpec, s: PhaseState, lam: float) -> float:
-    """Pole expansion of det L: poly part + sum ftilde/(lam-alpha) +
-    sum P/(lam-alpha)^2 + sum mu_i^2/(lam-a_i)^2."""
-    _pole_guard(sys.a, lam)
-    fam = integral_family(sys, s)
-    alpha = sys.ellipsoid.group_values
-    mu = sys.mu_arr
-    val = _poly_part(sys, lam)
-    val += float((fam.ftilde / (lam - alpha)).sum())
-    val += float((fam.P / (lam - alpha) ** 2).sum())
-    val += float((mu**2 / (lam - sys.a) ** 2).sum())
-    return val
-
-
 def clearing_exponents(sys: SystemSpec) -> np.ndarray:
     """Pole-clearing exponent per partition group: 2 when the group carries a
     charge or has size >= 2, else 1."""

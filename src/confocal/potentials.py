@@ -241,7 +241,7 @@ def delta_omega(axes, x, lam: float, k: int,
     return delta, omega
 
 
-def hierarchy_potential(axes, x, sigmas, mu=None) -> float | np.ndarray:
+def hierarchy_potential(axes, x, sigmas, mu) -> float | np.ndarray:
     """Potential (1/2) sum_k sigma_k V^(k) + (1/2) sum_i mu_i^2 / x_i^2.
 
     Broadcasts over a leading axis of x, as `hierarchy_eval` does.
@@ -252,16 +252,14 @@ def hierarchy_potential(axes, x, sigmas, mu=None) -> float | np.ndarray:
     if len(sigmas) > 0:
         t = hierarchy_eval(a, x, len(sigmas))
         val += 0.5 * sum(s * v for s, v in zip(sigmas, t.V))
-    if mu is not None:
-        mu = np.asarray(mu, dtype=float)
-        nz = mu != 0
-        val = val + 0.5 * (mu[nz] ** 2 / x[..., nz] ** 2).sum(axis=-1)
-    return val
+    mu = np.asarray(mu, dtype=float)
+    nz = mu != 0
+    return val + 0.5 * (mu[nz] ** 2 / x[..., nz] ** 2).sum(axis=-1)
 
 
-def hierarchy_gradient(axes, x, sigmas, mu=None) -> np.ndarray:
+def hierarchy_gradient(axes, x, sigmas, mu) -> np.ndarray:
     """Gradient of `hierarchy_potential` (analytic, via the recurrence)."""
-    mu = [] if mu is None else np.asarray(mu, dtype=float).tolist()
+    mu = np.asarray(mu, dtype=float).tolist()
     return np.array(_gradient_floats(np.asarray(axes, dtype=float).tolist(),
                                      np.asarray(x, dtype=float).tolist(), sigmas,
                                      [(j, m) for j, m in enumerate(mu) if m != 0.0]))

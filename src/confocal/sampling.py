@@ -24,11 +24,11 @@ def _rng(seed_or_rng) -> np.random.Generator:
     return np.random.default_rng(seed_or_rng)
 
 
-def random_state(sys: SystemSpec, seed_or_rng=0, y_scale: float = 1.0) -> PhaseState:
+def random_state(sys: SystemSpec, seed_or_rng=0) -> PhaseState:
     """One state satisfying the constraints of the system kind exactly."""
     rng = _rng(seed_or_rng)
     if sys.paired:
-        return _random_double(sys, rng, y_scale, invariant=False)
+        return _random_double(sys, rng, invariant=False)
     a = sys.a
 
     def draw():
@@ -39,7 +39,7 @@ def random_state(sys: SystemSpec, seed_or_rng=0, y_scale: float = 1.0) -> PhaseS
     for _ in range(_MAX_DRAWS):
         x = draw()
         x[nz] = np.abs(x[nz]) + _MIN_CHARGED
-        y = y_scale * draw()
+        y = draw()
         if not sys.constrained:
             return PhaseState(x, y)
         x = x / np.sqrt(_pair(x / a, x))
@@ -51,7 +51,7 @@ def random_state(sys: SystemSpec, seed_or_rng=0, y_scale: float = 1.0) -> PhaseS
                             "coordinates 0.05 off their axes")
 
 
-def _random_double(sys: SystemSpec, rng, y_scale: float, invariant: bool) -> PhaseState:
+def _random_double(sys: SystemSpec, rng, invariant: bool) -> PhaseState:
     a = sys.a
     n1 = a.size
     for _ in range(_MAX_DRAWS):
@@ -73,8 +73,8 @@ def _random_double(sys: SystemSpec, rng, y_scale: float, invariant: bool) -> Pha
         raise MultiplierSingularError(f"no position draw in {_MAX_DRAWS} keeps the "
                                       "pairings of x and xi off zero")
     for _ in range(_MAX_DRAWS):
-        y = y_scale * rng.normal(size=n1)
-        eta = y_scale * rng.normal(size=n1)
+        y = rng.normal(size=n1)
+        eta = rng.normal(size=n1)
         # zero each pairing with a norm-bounded correction (no division by
         # the small mutual pairing, which would inflate the momenta)
         u = x / a
@@ -84,7 +84,7 @@ def _random_double(sys: SystemSpec, rng, y_scale: float, invariant: bool) -> Pha
         if not invariant:
             # move off the defining variety while keeping the constraint:
             # opposite offsets cancel in the momentum pairing sum
-            c = y_scale * rng.uniform(-1.0, 1.0)
+            c = rng.uniform(-1.0, 1.0)
             y = y + c * v / (v @ v)
             eta = eta - c * u / (u @ u)
         # stay clear of the multiplier singularity, where the paired flow
@@ -98,7 +98,7 @@ def _random_double(sys: SystemSpec, rng, y_scale: float, invariant: bool) -> Pha
 
 def random_double_invariant_state(sys: SystemSpec, seed_or_rng=0) -> PhaseState:
     """Double-flow state on the variety where the large Lax pair is defined."""
-    return _random_double(sys, _rng(seed_or_rng), 1.0, invariant=True)
+    return _random_double(sys, _rng(seed_or_rng), invariant=True)
 
 
 def random_impact_state(axes, sigma: float, mu, seed_or_rng=0, speed: float = 1.0):

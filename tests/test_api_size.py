@@ -5,7 +5,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "confocal"
 
 # Raise this bound only on purpose, for a new option whose reason is recorded
 # in CHANGES.md; lower it when an option goes.
-MAX_DEFAULTED_PARAMETERS = 60
+MAX_DEFAULTED_PARAMETERS = 56
 
 
 def defaulted_parameters() -> dict[str, int]:
@@ -42,3 +42,7 @@ def test_the_count_reads_known_signatures():
     assert "billiard.oracle_step" not in counts  # h gave way to the step rule
     assert "svgplot.boundary_ellipse_points" not in counts
     assert "svgplot.confocal_conic_points" not in counts
+    assert counts["sampling.random_state"] == 1  # seed_or_rng; y_scale went
+    assert "geometry.tangency_value" not in counts  # sigma: the line only
+    assert "potentials.hierarchy_potential" not in counts  # mu is required
+    assert "potentials.hierarchy_gradient" not in counts

@@ -645,8 +645,10 @@ output: {{dir: {tmp_path/'plot'}}}
         ("{axes: [2.0, 1.0], mu: [0.3], input: TABLE}", "x0,x1\n0.5,0.1\n"),
         ("{input: TABLE}", None),
         ("{input: TABLE}", "x0,x1\n0.5,abc\n"),
+        ("{input: TABLE}", "x0,x1\n0.5,0.1\nnan,0.2\n"),
+        ("{input: TABLE}", "x0,x1\n0.5,-inf\n0.3,0.2\n"),
     ], ids=["domain-one-axis", "orbit-one-axis", "short-mu", "missing-input",
-            "non-numeric-cell"])
+            "non-numeric-cell", "nan-cell", "inf-cell"])
     def test_bad_plot_config_is_a_config_error(self, tmp_path, capsys, plot, table):
         path = tmp_path / "table.csv"
         if table is not None:

@@ -33,7 +33,6 @@ from confocal.lax import (
     lax_residual,
     psi_poly,
     real_roots,
-    spectral_expansion,
 )
 from confocal.potentials import delta_omega, hierarchy_eval
 from confocal.sampling import (
@@ -217,19 +216,23 @@ class TestSpectralData:
     def test_charged_expansion_with_double_poles(self):
         sys = SystemSpec("jacobi_rosochatius", AXES, sigma=0.4, mu=(0.2, 0.0, 0.3))
         s = random_state(sys, 9)
+        fam, a = integral_family(sys, s), sys.a
         for lam in (-1.3, 0.45, 3.7, 6.2):
-            np.testing.assert_allclose(det_L(sys, s, lam),
-                                       spectral_expansion(sys, s, lam),
-                                       atol=1e-11)
+            # sigma + sum ftilde/(lam - a) + sum (P + mu^2)/(lam - a)^2 (distinct axes)
+            expect = (sys.sigma + (fam.ftilde / (lam - a)).sum()
+                      + ((fam.P + sys.mu_arr**2) / (lam - a) ** 2).sum())
+            np.testing.assert_allclose(det_L(sys, s, lam), expect, atol=1e-11)
 
     def test_hierarchy_expansion_polynomial_part(self):
         sys = SystemSpec("separable_hierarchy", AXES, sigmas=(0.5, -0.3, 0.2),
                          mu=(0.1, 0.0, 0.2))
         s = random_state(sys, 10)
+        fam, a = integral_family(sys, s), sys.a
         for lam in (0.5, 3.9, 8.3):
-            np.testing.assert_allclose(det_L(sys, s, lam),
-                                       spectral_expansion(sys, s, lam),
-                                       rtol=1e-10, atol=1e-10)
+            # sum sigma_k lam^k + the poles, as for the charged flow
+            expect = (np.polyval(sys.sigmas[::-1], lam) + (fam.ftilde / (lam - a)).sum()
+                      + ((fam.P + sys.mu_arr**2) / (lam - a) ** 2).sum())
+            np.testing.assert_allclose(det_L(sys, s, lam), expect, rtol=1e-10, atol=1e-10)
 
     def test_cleared_polynomial_degree_force_free(self):
         sys = SystemSpec("free_jr", AXES, sigma=0.0)

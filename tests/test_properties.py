@@ -1,25 +1,30 @@
 """Property tests: round trips of the two coordinate changes, the bounce
-invariant, and the exit code of every run config, over inputs drawn by
-hypothesis.
+invariant, and the exit code of every run config and verify selection, over
+inputs drawn by hypothesis.
 
 `derandomize=True` makes every run draw the same examples, so the suite
 stays reproducible; `deadline=None` keeps a slow host from failing a test.
 """
 
+import contextlib
+import io
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import yaml
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from test_cli import within_seconds
+from test_geometry import point_from_parameters
 
+from confocal import cli, suites
 from confocal.billiard import BilliardSpec, ImpactState, impact_invariant, jr_step
 from confocal.cli import main
 from confocal.dynamics import KINDS, torus_reconstruct, torus_reduce
 from confocal.errors import GrazingOrSingularError, SingularAxisError
-from confocal.geometry import EllipsoidSpec, coords_from_elliptic, elliptic_coords
+from confocal.geometry import EllipsoidSpec, elliptic_coords
+from confocal.lax import CheckRecord
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=200)
 
@@ -49,7 +54,7 @@ def test_elliptic_coords_then_back_returns_the_point(x):
     # the chart is singular on the coordinate hyperplanes
     assume(np.min(np.abs(x)) > 1e-2)
     ec = elliptic_coords(spec, x)
-    np.testing.assert_allclose(coords_from_elliptic(spec, ec), x, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(point_from_parameters(spec.axes, ec), x, rtol=1e-9, atol=1e-12)
 
 
 @PROPERTY
@@ -187,3 +192,57 @@ def test_every_plot_config_ends_in_an_exit_code(case):
                 path.write_text(table)
             plot = {**plot, "input": str(path)}
         assert run_config("plot", {"version": 1, "plot": plot}, 0) in (0, 1, 2, 3)
+
+
+# stand-ins for the registered suites: one that passes at its default
+# tolerance, one that fails at it, one without a tolerance and one that hits
+# a singularity; each returns at once
+def _tunable(value):
+    def suite(seed=0, tol=1e-6):
+        return [CheckRecord(f"stub/{seed}", value, tol)]
+    return suite
+
+
+def _fixed(seed=0):
+    return [CheckRecord("stub/fixed", 0.0, 1e-9)]
+
+
+def _singular(seed=0, tol=1e-6):
+    raise SingularAxisError("stub singularity")
+
+
+STUB_SUITES = {"passes": _tunable(1e-9), "fails": _tunable(1.0), "fixed": _fixed,
+               "singular": _singular}
+suite_name = st.sampled_from([*STUB_SUITES, "no-such-suite"])
+tolerance = st.one_of(number, st.sampled_from([float("nan"), float("inf"), -1.0]))
+override = st.one_of(
+    st.tuples(suite_name, st.one_of(tolerance.map(repr), st.sampled_from(
+        ["abc", "", " 2 ", "1e-3x"]))).map("=".join),
+    suite_name, st.sampled_from(["=", "=1", "passes==1"]))
+
+
+@st.composite
+def verify_cases(draw) -> tuple[dict, list[str]]:
+    """A verify config and the arguments after it."""
+    config = {"version": 1, **draw(optional_keys({
+        "suites": st.lists(suite_name, max_size=3),
+        "tolerances": st.dictionaries(suite_name, tolerance, max_size=3)}))}
+    args = [f"--suite={name}" for name in draw(st.lists(suite_name, max_size=2))]
+    if draw(st.booleans()):
+        args.append("--tol-overrides=" + ",".join(draw(st.lists(override, max_size=3))))
+    return config, args + [f"--seed={draw(st.integers(-1, 3))}"]
+
+
+@settings(FUZZ, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(verify_cases())
+def test_every_verify_selection_ends_in_an_exit_code(monkeypatch, case):
+    monkeypatch.setattr(suites, "SUITES", STUB_SUITES)
+    monkeypatch.setattr(cli, "SUITES", STUB_SUITES)
+    config, args = case
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        path = Path(tmp) / "cfg.yaml"
+        path.write_text(yaml.safe_dump(config))
+        code = main(["verify", "--config", str(path), "--out", tmp, *args])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
