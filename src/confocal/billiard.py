@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import PhaseState, SystemSpec, torus_reconstruct
+from .dynamics import PhaseState, SystemSpec, _mu_over_x
 from .errors import (
     DimensionError,
     EscapeError,
@@ -24,7 +24,7 @@ from .errors import (
     SingularAxisError,
 )
 from .geometry import _pole_guard, tangency_value
-from .lax import LaxPair2, _mat2, clearing_exponents, lambda_samples, psi_poly, real_roots
+from .lax import LaxPair2, _mat2, lambda_samples, psi_degree, psi_poly, real_roots
 
 GRAZE_TOL = 1e-8
 MAP_TOL = 1e-12  # smallest admissible nu^2 of the bounce map
@@ -69,10 +69,10 @@ def impact_invariant(spec: BilliardSpec, s: ImpactState) -> float:
 
 
 def _lift(spec: BilliardSpec, s: ImpactState):
-    """Complex state of an impact state: z = x and p = y + i mu/x."""
+    """Complex state z = x, p = y + i mu/x of an impact state (mu/x = 0 if mu = 0)."""
     if (s.x[spec.mu_arr != 0] < 1e-9).any():
         raise SingularAxisError("charged coordinate not positive at the impact")
-    return torus_reconstruct(s.x, s.y, spec.mu_arr, 0.0)
+    return s.x + 0j, s.y + 1j * _mu_over_x(spec, s.x)
 
 
 def _map_coefficients(spec: BilliardSpec, z, p):
@@ -91,11 +91,11 @@ def _map_coefficients(spec: BilliardSpec, z, p):
 def jr_step(spec: BilliardSpec, s: ImpactState) -> ImpactState:
     """One bounce of the explicit map: `fedorov_step` on the lifted state.
 
-    The impact state lifts to z = x, p = y + i mu/x (`torus_reconstruct` at
-    zero phase).  The complex map conserves each charge Im(conj(z_k) p_k), so
-    its image reduces to x_k = |z_k|, y_k = Re(conj(z_k) p_k)/|z_k| on a
-    charged coordinate, which stays positive, and to Re z_k, Re p_k on a
-    chargeless one, which keeps its sign.
+    The impact state lifts to z = x, p = y + i mu/x.  The complex map
+    conserves each charge Im(conj(z_k) p_k), so its image reduces to
+    x_k = |z_k|, y_k = Re(conj(z_k) p_k)/|z_k| on a charged coordinate,
+    which stays positive, and to Re z_k, Re p_k on a chargeless one, which
+    keeps its sign.
     """
     z1, p1 = fedorov_step(spec, *_lift(spec, s))
     nz = spec.mu_arr != 0
@@ -301,7 +301,6 @@ def run_orbit(spec: BilliardSpec, s0: ImpactState, bounces: int,
     impacts = [s0]
     s = s0
     lambdas = lambda_samples(spec.axes, 5)
-    dets0 = None
     det_drift = 0.0
     conj_max = 0.0
     roots0 = None
@@ -326,17 +325,10 @@ def run_orbit(spec: BilliardSpec, s0: ImpactState, bounces: int,
                          drift, det_drift, conj_max, seg_roots)
 
 
-def expected_caustic_count(spec: BilliardSpec) -> int:
-    """Number of caustic quadrics of a generic orbit: the cleared-polynomial
-    degree, n + d with forcing and n - 1 + d without (d = number of charges,
-    distinct axes)."""
-    delta = clearing_exponents(spec)
-    return int(delta.sum()) + (0 if spec.sigma != 0.0 else -1)
-
-
 def orbit_caustics(spec: BilliardSpec, orbit: BilliardOrbit) -> dict:
-    """Caustic parameters of an orbit plus the simultaneous-tangency report."""
-    expected = expected_caustic_count(spec)
+    """Caustic parameters of an orbit, `psi_degree` of them for a generic
+    one, plus the simultaneous-tangency report."""
+    expected = psi_degree(spec)
     etas = orbit.caustics
     count_ok = etas.size == expected
     # a parameter landing on an axis marks a degenerate member of the family
@@ -449,12 +441,10 @@ def find_planar_periodic_orbit(spec: BilliardSpec, period: int) -> tuple[float, 
 
     Shooting on eta from the boundary angle 0.31 with unit speed: the
     boundary-angle advance after `period` bounces is monotone in the caustic
-    parameter for planar force-free billiards, so a sign change of
-    (advance - 2 pi) over eta in (1e-4, 1 - 1e-4) times the smallest axis
-    brackets the closing caustic.
+    parameter for planar force-free billiards (ValueError for any other), so
+    a sign change of (advance - 2 pi) over eta in (1e-4, 1 - 1e-4) times the
+    smallest axis brackets the closing caustic.
     """
-    if len(spec.axes) != 2 or spec.sigma != 0.0 or np.any(spec.mu_arr != 0):
-        raise ValueError("the shooting search is planar and force-free")
     a = np.sort(spec.a)
     lo = 1e-4 * a[0]
     hi = (1.0 - 1e-4) * a[0]

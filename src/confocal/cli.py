@@ -21,6 +21,7 @@ from . import billiard as bl
 from . import lax as lx
 from . import svgplot
 from .config import (
+    _check_tolerances,
     billiard_from_config,
     dump_json,
     fmt,
@@ -41,7 +42,7 @@ from .errors import (
     SingularAxisError,
 )
 from .lax import CheckRecord
-from .suites import SUITES, run_suites
+from .suites import SUITES, _relative_drift, run_suites
 
 log = logging.getLogger("confocal")
 
@@ -93,7 +94,7 @@ def _diagnostics(sys, traj: PhaseState):
 
     Columns: t, the state coordinates (Re and Im parts of complex ones), the
     constraint residuals F1.., H and, for a flow with a small Lax pair, the
-    integrals f (f-tilde when axes repeat).  Each drift is the largest over the rows, NaN if any row is.
+    integrals f (f-tilde when axes repeat).  Each drift is NaN if any row is.
     """
     header, cols = ["t"], [traj.t[:, None]]
     cplx = np.iscomplexobj(traj.x)
@@ -112,7 +113,7 @@ def _diagnostics(sys, traj: PhaseState):
     H = energy(sys, traj)
     header += [f"F{i+1}" for i in range(res.shape[-1])] + ["H"]
     cols += [res, H[:, None]]
-    dH = float(np.max(np.abs(H - H[0]) / max(abs(H[0]), 1e-3)))
+    dH = _relative_drift(H)
     dC = float(np.max(np.abs(res))) if res.size else 0.0
     dF = 0.0
     if lx.has_pair(sys, "small"):
@@ -120,7 +121,7 @@ def _diagnostics(sys, traj: PhaseState):
         F = fam.f if fam.f is not None else fam.ftilde
         header += [f"f{i}" for i in range(F.shape[-1])]
         cols.append(F)
-        dF = float(np.max(np.abs(F - F[0]) / np.maximum(np.abs(F[0]), 1e-3)))
+        dF = _relative_drift(F)
     return header, np.concatenate(cols, axis=-1), (dH, dF, dC)
 
 
@@ -289,7 +290,7 @@ def _parse_tol_overrides(text: str | None) -> dict:
             out[name.strip()] = float(val)
         except ValueError as exc:
             raise ConfigError(f"bad tolerance value in {item!r}") from exc
-    return out
+    return _check_tolerances(out)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -77,7 +77,7 @@ SCHEMA = {
                 "mu": _VECTOR,
                 "bounces": {"type": "integer", "minimum": 1},
                 "oracle_check": {"type": "boolean"},
-                "oracle_tol": {"type": "number", "exclusiveMinimum": 0},
+                "oracle_tol": _NUMBER,
                 "poncelet_max": {"type": "integer", "minimum": 0},
                 "initial": {
                     "type": "object",
@@ -89,7 +89,7 @@ SCHEMA = {
         "suites": {"type": "array", "items": {"type": "string"}},
         "tolerances": {"type": "object",
                        "additionalProperties": {"type": "number"}},
-        "drift_tol": {"type": "number", "exclusiveMinimum": 0},
+        "drift_tol": _NUMBER,
         "output": {
             "type": "object",
             "additionalProperties": False,
@@ -134,7 +134,19 @@ def load_config(path) -> dict:
             loc = "/".join(str(s) for s in e.absolute_path) or "<root>"
             msgs.append(f"{loc}: {e.message}")
         raise ConfigError("config schema violations: " + "; ".join(msgs))
+    _check_tolerances({"drift_tol": raw.get("drift_tol"),
+                       "billiard/oracle_tol": raw.get("billiard", {}).get("oracle_tol"),
+                       **{f"tolerances/{k}": v for k, v in raw.get("tolerances", {}).items()}})
     return raw
+
+
+def _check_tolerances(tols: dict) -> dict:
+    """Tolerances by name (None if not given); one that is not > 0, nan
+    included, is a ConfigError."""
+    for name, tol in tols.items():
+        if tol is not None and not tol > 0:
+            raise ConfigError(f"tolerance {name} must be > 0, got {tol!r}")
+    return tols
 
 
 def system_from_config(cfg: dict) -> SystemSpec:

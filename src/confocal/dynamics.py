@@ -481,20 +481,8 @@ def torus_reduce(z, p):
     return x, y, mu, phases
 
 
-def torus_reconstruct(x, y, mu, phases):
-    """Inverse of `torus_reduce` on its image."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    ph = np.exp(1j * np.asarray(phases, dtype=float))
-    rad = np.zeros_like(x)
-    nz = x != 0
-    rad[nz] = mu[nz] / x[nz]
-    return x * ph, (y + 1j * rad) * ph
-
-
 # ---------------------------------------------------------------------------
-# Dirac bracket
+# Dirac tensor
 # ---------------------------------------------------------------------------
 
 def dirac_tensor(axes, s: PhaseState) -> np.ndarray:
@@ -537,18 +525,3 @@ def fd_gradient(func, s: PhaseState) -> np.ndarray:
     extra = [None if v is None else np.tile(v, (2 * m, 1)) for v in (s.xi, s.eta)]
     f = np.asarray(func(PhaseState(zs[:, :m // 2], zs[:, m // 2:], s.t, *extra)))
     return (f[:m] - f[m:]) / (2.0 * h).reshape((m,) + (1,) * (f.ndim - 1))
-
-
-def dirac_bracket(axes, grad_f, grad_g, s: PhaseState) -> float:
-    """Constrained Poisson bracket {f, g} at a state, grad_f W grad_g.
-
-    grad_f and grad_g are phase-space gradients of shape (2(n+1),) (for
-    instance from `fd_gradient`) and W is `dirac_tensor`.  Raises
-    ConstraintError for a state off the constraint set.
-    """
-    a = np.asarray(axes, dtype=float)
-    res_x = abs((s.x / a) @ s.x - 1.0)
-    res_y = abs((s.x / a) @ s.y)
-    if max(res_x, res_y) > DEFAULT_CTOL:
-        raise ConstraintError("state is off the constraint set")
-    return float(grad_f @ dirac_tensor(a, s) @ grad_g)

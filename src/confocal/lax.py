@@ -27,16 +27,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
+    DEFAULT_CTOL,
     PhaseState,
     SystemSpec,
     _mu_over_x,
     _pair,
-    dirac_bracket,
     dirac_tensor,
     fd_gradient,
     rk4_step,
 )
-from .errors import InvariantVarietyError, PoleError
+from .errors import ConstraintError, InvariantVarietyError, PoleError
 from .geometry import EllipsoidSpec, _pole_guard, pole_form
 from .potentials import delta_value, hierarchy_eval, omega_coefficients
 
@@ -280,14 +280,6 @@ def _poly_part(sys: SystemSpec, lam: float) -> float:
     return float(sum(sig * lam**k for k, sig in enumerate(sys.sigmas or (sys.sigma,))))
 
 
-def _poly_part_degree(sys: SystemSpec) -> int:
-    deg = -1
-    for k, sig in enumerate(sys.sigmas or (sys.sigma,)):
-        if sig != 0.0:
-            deg = k
-    return deg
-
-
 @dataclass
 class IntegralFamily:
     """Conserved quantities of a flow at one state, indexed by the partition.
@@ -410,17 +402,26 @@ def lambda_samples(axes, k: int) -> np.ndarray:
     return np.array(sorted(pts[:k]))
 
 
+def psi_degree(sys: SystemSpec) -> int:
+    """Degree of `psi_poly`, the caustic count of a generic billiard orbit:
+    the clearing exponents' sum plus the degree of det L's polynomial part
+    (-1 when that part is 0)."""
+    part = max((k for k, sig in enumerate(sys.sigmas or (sys.sigma,)) if sig != 0.0),
+               default=-1)
+    return int(clearing_exponents(sys).sum()) + part
+
+
 def psi_poly(sys: SystemSpec, s: PhaseState) -> np.ndarray:
     """Coefficients (highest first) of det L with its poles cleared.
 
     The clearing factor is prod_s (lam - alpha_s)^{delta_s} with delta_s from
     `clearing_exponents`; coefficients are recovered by interpolation at the
-    deg + 1 points of `lambda_samples`: the midpoints between the distinct
-    axes, then points beyond the extremes.
+    `psi_degree` + 1 points of `lambda_samples`: the midpoints between the
+    distinct axes, then points beyond the extremes.
     """
     alpha = sys.ellipsoid.group_values
     delta = clearing_exponents(sys)
-    deg = int(delta.sum()) + _poly_part_degree(sys)
+    deg = psi_degree(sys)
     if deg < 0:
         return np.zeros(1)
     pts = lambda_samples(alpha, deg + 1)
@@ -469,8 +470,7 @@ def commuting_pairs(spec: EllipsoidSpec) -> list[tuple]:
             pairs.append((("ftilde", s1), ("ftilde", s2)))
     for s1 in range(r1):
         for s2 in big:
-            if ("P", s2) != ("ftilde", s1):
-                pairs.append((("ftilde", s1), ("P", s2)))
+            pairs.append((("ftilde", s1), ("P", s2)))
     for i1, s1 in enumerate(big):
         for s2 in big[i1 + 1:]:
             pairs.append((("P", s1), ("P", s2)))
@@ -545,17 +545,19 @@ def _tag_gradients(sys: SystemSpec, s: PhaseState, tags: list) -> dict:
 
 def commutation_suite(sys: SystemSpec, s: PhaseState,
                       tol: float = 1e-6) -> list[CheckRecord]:
-    """Constrained brackets of the vanishing pairs at one state.
-
-    The gradients come from `_tag_gradients`.  Returns one record per pair
-    with the absolute bracket value.
+    """Records |grad_f W grad_g| of the vanishing pairs at one state: W is
+    its `dirac_tensor`, the gradients come from `_tag_gradients`.  Raises
+    ConstraintError for a state off the constraint set by over DEFAULT_CTOL.
     """
+    if max(abs((s.x / sys.a) @ s.x - 1.0), abs((s.x / sys.a) @ s.y)) > DEFAULT_CTOL:
+        raise ConstraintError("state is off the constraint set")
     pairs = commuting_pairs(sys.ellipsoid)
     tags = sorted({t for pr in pairs for t in pr}, key=repr)
     grads = _tag_gradients(sys, s, tags)
     names = {t: _OBSERVABLES[t[0]][1](*t[1:]) for t in tags}
+    W = dirac_tensor(sys.a, s)
     return [CheckRecord(f"{{{names[t1]},{names[t2]}}}",
-                        abs(dirac_bracket(sys.a, grads[t1], grads[t2], s)), tol)
+                        abs(float(grads[t1] @ W @ grads[t2])), tol)
             for t1, t2 in pairs]
 
 

@@ -188,14 +188,22 @@ def suite_rank_dimension(seed=0, n_draws=200, fail_frac=0.05) -> list[CheckRecor
 # billiards
 # ---------------------------------------------------------------------------
 
-def _billiard_specs(n):
-    base = (2.0, 1.0) if n == 2 else (2.0, 1.0, 0.6)
-    mus = {
-        "mu-zero": tuple(0.0 for _ in base),
-        "mu-one": tuple(0.25 if i == n - 1 else 0.0 for i in range(n)),
-        "mu-all": tuple(0.3 - 0.05 * i for i in range(n)),
-    }
-    return base, mus
+def _billiard_cases(sigmas):
+    """(label, spec) of each billiard case, in draw order: the axes (2, 1)
+    and then (2, 1, 0.6), each with no charge, a charge on the last
+    coordinate and a charge on every coordinate, each at every sigma."""
+    for n, base in ((2, (2.0, 1.0)), (3, (2.0, 1.0, 0.6))):
+        for mu_name, mu in (("mu-zero", (0.0,) * n), ("mu-one", (0.0,) * (n - 1) + (0.25,)),
+                            ("mu-all", tuple(0.3 - 0.05 * i for i in range(n)))):
+            for sigma in sigmas:
+                yield (f"n{n}/{mu_name}/sigma{sigma:+g}",
+                       bl.BilliardSpec(base, sigma=sigma, mu=mu))
+
+
+def _draw_impact(spec, rng) -> bl.ImpactState:
+    """An impact state of the billiard at speed 1.3."""
+    return bl.ImpactState(*random_impact_state(spec.axes, spec.sigma, spec.mu, rng,
+                                               speed=1.3))
 
 
 def suite_billiard_oracle(seed=0, bounces=100, tol=1e-6) -> list[CheckRecord]:
@@ -207,30 +215,23 @@ def suite_billiard_oracle(seed=0, bounces=100, tol=1e-6) -> list[CheckRecord]:
     records inf and fails."""
     out = []
     rng = np.random.default_rng(seed)
-    for n in (2, 3):
-        base, mus = _billiard_specs(n)
-        for mu_name, mu in mus.items():
-            for sigma in (-1.0, 0.0, 0.3):
-                spec = bl.BilliardSpec(base, sigma=sigma, mu=mu)
-                x, y = random_impact_state(base, sigma, mu, rng, speed=1.3)
-                s = bl.ImpactState(x, y)
-                worst, compared = 0.0, 0
-                for _ in range(bounces):
-                    try:
-                        s1 = bl.jr_step(spec, s)
-                        s1o = bl.oracle_step(spec, s)
-                    except GrazingOrSingularError:
-                        x, y = random_impact_state(base, sigma, mu, rng, speed=1.3)
-                        s = bl.ImpactState(x, y)
-                        continue
-                    worst = float(np.max([worst, np.max(np.abs(s1.x - s1o.x)),
-                                          np.max(np.abs(s1.y - s1o.y))]))
-                    compared += 1
-                    s = s1
-                if not compared:
-                    worst = float("inf")
-                out.append(CheckRecord(
-                    f"billiard-oracle/n{n}/{mu_name}/sigma{sigma:+g}", worst, tol))
+    for label, spec in _billiard_cases((-1.0, 0.0, 0.3)):
+        s = _draw_impact(spec, rng)
+        worst, compared = 0.0, 0
+        for _ in range(bounces):
+            try:
+                s1 = bl.jr_step(spec, s)
+                s1o = bl.oracle_step(spec, s)
+            except GrazingOrSingularError:
+                s = _draw_impact(spec, rng)
+                continue
+            worst = float(np.max([worst, np.max(np.abs(s1.x - s1o.x)),
+                                  np.max(np.abs(s1.y - s1o.y))]))
+            compared += 1
+            s = s1
+        if not compared:
+            worst = float("inf")
+        out.append(CheckRecord(f"billiard-oracle/{label}", worst, tol))
     return out
 
 
@@ -240,23 +241,15 @@ def suite_caustics(seed=0, bounces=50, drift_tol=1e-7,
     the per-segment tangency of every segment to every caustic."""
     out = []
     rng = np.random.default_rng(seed)
-    configs = []
-    for n in (2, 3):
-        base, mus = _billiard_specs(n)
-        for mu_name, mu in mus.items():
-            for sigma in (0.0, 0.3):
-                configs.append((n, base, mu_name, mu, sigma))
-    for n, base, mu_name, mu, sigma in configs:
-        spec = bl.BilliardSpec(base, sigma=sigma, mu=mu)
-        x, y = random_impact_state(base, sigma, mu, rng, speed=1.3)
-        orb = bl.run_orbit(spec, bl.ImpactState(x, y), bounces, with_lax=False)
+    for label, spec in _billiard_cases((0.0, 0.3)):
+        orb = bl.run_orbit(spec, _draw_impact(spec, rng), bounces, with_lax=False)
         rep = bl.orbit_caustics(spec, orb)
-        label = f"caustics/n{n}/{mu_name}/sigma{sigma:+g}"
+        name = f"caustics/{label}"
         count_err = 0.0 if (rep["count_ok"] and rep["per_segment_count_ok"]) else 1.0
-        out.append(CheckRecord(f"{label}/count={rep['expected_count']}", count_err, 0.5))
-        out.append(CheckRecord(f"{label}/drift", rep["caustic_drift"], drift_tol))
+        out.append(CheckRecord(f"{name}/count={rep['expected_count']}", count_err, 0.5))
+        out.append(CheckRecord(f"{name}/drift", rep["caustic_drift"], drift_tol))
         if rep["tangency_max"] is not None:
-            out.append(CheckRecord(f"{label}/tangency", rep["tangency_max"],
+            out.append(CheckRecord(f"{name}/tangency", rep["tangency_max"],
                                    tangency_tol))
     return out
 
@@ -289,8 +282,7 @@ def suite_discrete_lax(seed=0, bounces=100, tol=1e-8) -> list[CheckRecord]:
     for sigma, mu in ((0.0, (0.0, 0.0, 0.0)), (-1.0, (0.3, 0.25, 0.2)),
                       (0.3, (0.0, 0.25, 0.0))):
         spec = bl.BilliardSpec((2.0, 1.0, 0.6), sigma=sigma, mu=mu)
-        x, y = random_impact_state(spec.axes, sigma, mu, rng, speed=1.3)
-        orb = bl.run_orbit(spec, bl.ImpactState(x, y), bounces)
+        orb = bl.run_orbit(spec, _draw_impact(spec, rng), bounces)
         out.append(CheckRecord(f"discrete-lax/sigma{sigma:+g}/det-drift",
                                orb.det_drift, tol))
         out.append(CheckRecord(f"discrete-lax/sigma{sigma:+g}/conjugation",

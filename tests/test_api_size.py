@@ -6,6 +6,17 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "confocal"
 # Raise this bound only on purpose, for a new option whose reason is recorded
 # in CHANGES.md; lower it when an option goes.
 MAX_DEFAULTED_PARAMETERS = 56
+# Raise this bound only on purpose, for a new function whose reason is
+# recorded in CHANGES.md; lower it when one goes.
+MAX_PUBLIC_FUNCTIONS = 78
+
+
+def module_functions() -> list[str]:
+    """Module-level functions of the package, public and private, as
+    module.function."""
+    return [f"{path.stem}.{node.name}" for path in sorted(SRC.glob("*.py"))
+            for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.FunctionDef)]
 
 
 def defaulted_parameters() -> dict[str, int]:
@@ -46,3 +57,19 @@ def test_the_count_reads_known_signatures():
     assert "geometry.tangency_value" not in counts  # sigma: the line only
     assert "potentials.hierarchy_potential" not in counts  # mu is required
     assert "potentials.hierarchy_gradient" not in counts
+
+
+def test_public_functions_stay_within_the_bound():
+    public = [name for name in module_functions() if not name.split(".")[1].startswith("_")]
+    assert len(public) <= MAX_PUBLIC_FUNCTIONS, public
+
+
+def test_each_derived_object_has_one_construction():
+    # the bracket is grad_f W grad_g on one dirac_tensor per state, the
+    # impact lift is written out in billiard._lift, the caustic count is
+    # lax.psi_degree and the billiard cases come from suites._billiard_cases
+    names = {name.split(".")[1] for name in module_functions()}
+    assert {"dirac_tensor", "_lift", "psi_degree", "_billiard_cases"} <= names
+    gone = {"dirac_bracket", "torus_reconstruct", "expected_caustic_count",
+            "_poly_part_degree", "_billiard_specs"}
+    assert not gone & names

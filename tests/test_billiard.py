@@ -10,7 +10,6 @@ from confocal.billiard import (
     boundary_angle,
     boundary_point,
     discrete_lax_check,
-    expected_caustic_count,
     fedorov_step,
     find_planar_periodic_orbit,
     impact_invariant,
@@ -23,7 +22,7 @@ from confocal.billiard import (
     tangent_state,
 )
 from confocal import suites
-from confocal.dynamics import SystemSpec, energy, integrate, PhaseState, torus_reconstruct
+from confocal.dynamics import SystemSpec, energy, integrate, PhaseState
 from confocal.errors import (
     DimensionError,
     EscapeError,
@@ -32,8 +31,9 @@ from confocal.errors import (
     SingularAxisError,
 )
 from confocal.geometry import tangency_value
-from confocal.lax import LaxPair2, lambda_samples
+from confocal.lax import LaxPair2, clearing_exponents, lambda_samples, psi_degree, psi_poly
 from confocal.sampling import random_impact_state
+from test_dynamics import torus_reconstruct_reference
 
 
 def ray_trace_step(axes, x, y):
@@ -179,29 +179,61 @@ class TestBounceMap:
         # on which either side raises must raise the same class on the other
         rng = np.random.default_rng(seed)
         compared, raised = 0, 0
-        for n in (2, 3):
-            base, mus = suites._billiard_specs(n)
-            for mu in mus.values():
-                for sigma in (-1.0, 0.0, 0.3):
-                    spec = BilliardSpec(base, sigma=sigma, mu=mu)
-                    s = ImpactState(*random_impact_state(base, sigma, mu, rng, speed=1.3))
-                    for _ in range(50):
-                        try:
-                            ref = jr_step_reference(spec, s)
-                        except (GrazingOrSingularError, SingularAxisError) as exc:
-                            with pytest.raises(type(exc)):
-                                jr_step(spec, s)
-                            raised += 1
-                            s = ImpactState(*random_impact_state(base, sigma, mu, rng,
-                                                                 speed=1.3))
-                            continue
-                        got = jr_step(spec, s)
-                        np.testing.assert_allclose(got.x, ref.x, rtol=0, atol=1e-13)
-                        np.testing.assert_allclose(got.y, ref.y, rtol=0, atol=1e-13)
-                        assert got.k == ref.k
-                        compared += 1
-                        s = ref
+        for _, spec in suites._billiard_cases((-1.0, 0.0, 0.3)):
+            s = suites._draw_impact(spec, rng)
+            for _ in range(50):
+                try:
+                    ref = jr_step_reference(spec, s)
+                except (GrazingOrSingularError, SingularAxisError) as exc:
+                    with pytest.raises(type(exc)):
+                        jr_step(spec, s)
+                    raised += 1
+                    s = suites._draw_impact(spec, rng)
+                    continue
+                got = jr_step(spec, s)
+                np.testing.assert_allclose(got.x, ref.x, rtol=0, atol=1e-13)
+                np.testing.assert_allclose(got.y, ref.y, rtol=0, atol=1e-13)
+                assert got.k == ref.k
+                compared += 1
+                s = ref
         assert compared + raised == 18 * 50
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_written_out_lift_equals_the_zero_phase_reconstruction(self, seed):
+        # the lift z = x, p = y + i mu/x gives the images, byte for byte, of
+        # the lift through the inverse torus reduction at zero phase, which
+        # multiplies by exp(0j) = 1; 18 cases of billiard-oracle, 50 bounces
+        def jr_step_reconstructed(spec, s):
+            nz = spec.mu_arr != 0
+            if (s.x[nz] < 1e-9).any():
+                raise SingularAxisError("charged coordinate not positive at the impact")
+            z1, p1 = fedorov_step(spec, *torus_reconstruct_reference(s.x, s.y,
+                                                                      spec.mu_arr, 0.0))
+            x1 = np.where(nz, np.abs(z1), z1.real)
+            if (x1[nz] < 1e-9).any():
+                raise SingularAxisError("charged coordinate collapsed at the new impact")
+            y1 = p1.real.copy()
+            y1[nz] = (np.conj(z1[nz]) * p1[nz]).real / x1[nz]
+            return ImpactState(x1, y1, s.k + 1)
+
+        rng = np.random.default_rng(seed)
+        compared = 0
+        for _, spec in suites._billiard_cases((-1.0, 0.0, 0.3)):
+            s = suites._draw_impact(spec, rng)
+            for _ in range(50):
+                try:
+                    ref = jr_step_reconstructed(spec, s)
+                except (GrazingOrSingularError, SingularAxisError) as exc:
+                    with pytest.raises(type(exc)):
+                        jr_step(spec, s)
+                    s = suites._draw_impact(spec, rng)
+                    continue
+                got = jr_step(spec, s)
+                assert got.x.tobytes() == ref.x.tobytes()
+                assert got.y.tobytes() == ref.y.tobytes()
+                compared += 1
+                s = ref
+        assert compared > 0.9 * 18 * 50
 
     @pytest.mark.parametrize("x1", [0.0, -0.3], ids=["on-axis", "negative"])
     def test_charged_coordinate_not_positive_at_the_impact(self, x1):
@@ -428,19 +460,14 @@ class TestOracleKernel:
     def test_float_kernel_matches_array_reference(self, seed):
         rng = np.random.default_rng(seed)
         cases = 0
-        for n in (2, 3):
-            base, mus = suites._billiard_specs(n)
-            for mu in mus.values():
-                for sigma in (-1.0, 0.0, 0.3):
-                    spec = BilliardSpec(base, sigma=sigma, mu=mu)
-                    x, y = random_impact_state(base, sigma, mu, rng, speed=1.3)
-                    s = ImpactState(x, y)
-                    got = oracle_step(spec, s)
-                    ref = oracle_step_numpy(spec, s)
-                    np.testing.assert_allclose(got.x, ref.x, rtol=0, atol=1e-13)
-                    np.testing.assert_allclose(got.y, ref.y, rtol=0, atol=1e-13)
-                    assert got.k == ref.k == 1
-                    cases += 1
+        for _, spec in suites._billiard_cases((-1.0, 0.0, 0.3)):
+            s = suites._draw_impact(spec, rng)
+            got = oracle_step(spec, s)
+            ref = oracle_step_numpy(spec, s)
+            np.testing.assert_allclose(got.x, ref.x, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(got.y, ref.y, rtol=0, atol=1e-13)
+            assert got.k == ref.k == 1
+            cases += 1
         assert cases == 18
 
     def test_spec_arrays_are_built_once_and_read_only(self):
@@ -541,7 +568,7 @@ def discrete_lax_check_per_parameter(spec, s, s_next, lambdas):
     out = []
     for lam in lambdas:
         # J and K of the lifted state z = x, p = y + i mu/x
-        z, p = torus_reconstruct(s.x, s.y, spec.mu_arr, 0.0)
+        z, p = torus_reconstruct_reference(s.x, s.y, spec.mu_arr, 0.0)
         J = 2.0 * float(np.vdot(p, z / a).real)
         K = spec.sigma - float(np.vdot(p, p / a).real)
         pi = J / float((s_next.x / a**2) @ s_next.x)
@@ -700,7 +727,7 @@ class TestCausticsAndClosure:
 
     def test_single_charge_adds_a_caustic(self):
         spec = BilliardSpec((2.0, 1.0), sigma=0.0, mu=(0.0, 0.3))
-        assert expected_caustic_count(spec) == 2
+        assert psi_degree(spec) == 2
         x, y = random_impact_state(spec.axes, 0.0, spec.mu, 19)
         orb = run_orbit(spec, ImpactState(x, y), 50, with_lax=False)
         rep = orbit_caustics(spec, orb)
@@ -709,12 +736,27 @@ class TestCausticsAndClosure:
 
     def test_forcing_adds_a_caustic(self):
         spec = BilliardSpec((2.0, 1.0), sigma=0.3)
-        assert expected_caustic_count(spec) == 2
+        assert psi_degree(spec) == 2
         x, y = random_impact_state(spec.axes, 0.3, spec.mu, 20, speed=1.4)
         orb = run_orbit(spec, ImpactState(x, y), 50, with_lax=False)
         rep = orbit_caustics(spec, orb)
         assert rep["count_ok"]
         assert rep["caustic_drift"] < 1e-7
+
+    def test_psi_degree_is_the_caustic_count_of_every_case(self):
+        # the caustic count as once written for billiards, the clearing
+        # exponents plus 0 with forcing and -1 without, and the length of
+        # psi_poly, on the cases of billiard-oracle, caustics and discrete-lax
+        specs = [spec for _, spec in suites._billiard_cases((-1.0, 0.0, 0.3))]
+        specs += [BilliardSpec((2.0, 1.0, 0.6), sigma=sigma, mu=mu)
+                  for sigma, mu in ((0.0, (0.0, 0.0, 0.0)), (-1.0, (0.3, 0.25, 0.2)),
+                                    (0.3, (0.0, 0.25, 0.0)))]
+        rng = np.random.default_rng(3)
+        for spec in specs:
+            old = int(clearing_exponents(spec).sum()) + (0 if spec.sigma != 0.0 else -1)
+            assert psi_degree(spec) == old
+            s = suites._draw_impact(spec, rng)
+            assert len(psi_poly(spec, PhaseState(s.x, s.y))) - 1 == old
 
     def test_every_segment_tangent_to_every_caustic(self):
         spec = BilliardSpec((2.0, 1.0, 0.6))

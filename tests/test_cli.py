@@ -601,6 +601,37 @@ class TestVerifyCommand:
         assert not (tmp_path / "verify_report.json").exists()
 
 
+class TestTolerances:
+    # each route a tolerance takes into a run, as (command, config text,
+    # extra arguments, the file a run would write); TOL marks the value
+    ROUTES = {
+        "tol-overrides": ("verify", "", ["--suite", "peta-relation",
+                                         "--tol-overrides", "peta-relation=TOL"],
+                          "verify_report.json"),
+        "tolerances": ("verify", "suites: [peta-relation]\ntolerances: {peta-relation: TOL}\n",
+                       [], "verify_report.json"),
+        "drift_tol": ("simulate", "system: {kind: jacobi, axes: [1.0, 2.0, 3.0], sigma: 0.5}\n"
+                      "integrator: {h: 1.0e-2, T: 0.1}\ndrift_tol: TOL\n", [], "summary.json"),
+        "oracle_tol": ("billiard", "billiard: {axes: [2.0, 1.0], bounces: 2, "
+                       "oracle_check: true, oracle_tol: TOL}\n", [], "billiard_summary.json"),
+    }
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    @pytest.mark.parametrize("yaml_value,cli_value", [(".nan", "nan"), ("-1", "-1"), ("0", "0")],
+                             ids=["nan", "negative", "zero"])
+    def test_tolerance_not_above_zero_is_a_config_error(self, tmp_path, capsys, route,
+                                                        yaml_value, cli_value):
+        command, config, args, output = self.ROUTES[route]
+        cfg = write(tmp_path / "cfg.yaml",
+                    "version: 1\nseed: 5\n" + config.replace("TOL", yaml_value))
+        args = [a.replace("TOL", cli_value) for a in args]
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out), *args]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "must be > 0" in err and "Traceback" not in err
+        assert not (out / output).exists()
+
+
 class TestPlotCommand:
     def test_orbit_plot_with_caustics(self, tmp_path):
         bil = write(tmp_path / "bil.yaml", f"""\

@@ -10,6 +10,7 @@ from confocal.dynamics import (
     SystemSpec,
     _pair,
     constraint_residuals,
+    dirac_tensor,
     energy,
     integrate,
     project,
@@ -19,7 +20,7 @@ from confocal.billiard import tangent_directions
 from confocal.geometry import pole_form, tangency_value
 from confocal.geometry import _pole_guard
 from confocal.lax import (
-    _poly_part_degree,
+    _tag_gradients,
     build_lax,
     clearing_exponents,
     commutation_suite,
@@ -31,6 +32,7 @@ from confocal.lax import (
     lambda_samples,
     lax_defect,
     lax_residual,
+    psi_degree,
     psi_poly,
     real_roots,
 )
@@ -548,7 +550,7 @@ def psi_poly_per_parameter(sys, s):
     """psi_poly with one det L call per sample, as before the stacked call."""
     alpha = sys.ellipsoid.group_values
     delta = clearing_exponents(sys)
-    deg = int(delta.sum()) + _poly_part_degree(sys)
+    deg = psi_degree(sys)
     pts = lambda_samples(alpha, deg + 1)
     pair = build_lax(sys, s, "small")
     vals = np.array([np.real(pair.det_L(t)) * np.prod((t - alpha) ** delta) for t in pts])
@@ -602,6 +604,22 @@ class TestCommutation:
             s = random_state(sys, rng)
             for rec in commutation_suite(sys, s):
                 assert rec.value < 1e-6, rec.name
+
+    @pytest.mark.parametrize("axes,mu", [
+        ((1.3, 1.3, 2.9, 2.9), (0.3, 0.2, 0.25, 0.15)),
+        ((1.5, 1.5, 1.5, 2.8, 2.8), (0.2, 0.1, 0.15, 0.25, 0.3)),
+    ], ids=["2-2", "3-2"])
+    def test_values_equal_the_tensor_bracket_bit_for_bit(self, axes, mu):
+        # one tensor per state gives each pair's |grad_f W grad_g| exactly
+        sys = SystemSpec("jacobi_rosochatius", axes, sigma=0.3, mu=mu)
+        pairs = commuting_pairs(sys.ellipsoid)
+        rng = np.random.default_rng(22)
+        for _ in range(3):
+            s = random_state(sys, rng)
+            grads = _tag_gradients(sys, s, sorted({t for p in pairs for t in p}, key=repr))
+            want = [abs(float(grads[f] @ dirac_tensor(sys.a, s) @ grads[g]))
+                    for f, g in pairs]
+            assert [rec.value for rec in commutation_suite(sys, s)] == want
 
     def test_record_names_of_every_tag_kind(self):
         sys = SystemSpec("jacobi_rosochatius", (1.5, 1.5, 1.5, 2.8, 2.8),
